@@ -1,25 +1,21 @@
 """Microbenchmarks for the incremental fair-share allocation engine.
 
-Three scenarios pin the before/after of the allocator work:
+Two scenarios pin the allocator work:
 
 * **dense surge** — a Snowflake-surge-style population: hundreds of
   concurrent flows funnelling through one bridge plus shared relay
-  links, reallocated once per event. The optimized engine must beat the
-  reference water-filling by at least 5x here (acceptance criterion).
+  links, reallocated once per event. The persistent allocator must beat
+  the from-scratch reference water-filling
+  (:func:`compute_fair_rates_reference`, the test oracle) by at least
+  5x here.
 * **churn storm** — start/abort/complete storms through the full
   :class:`FluidNetwork`, exercising epoch batching, per-class progress
   accounting, and the per-class min-ETA scheduler on top of the
-  allocator itself. Both engines run the *same* seeded workload, so the
-  bench also asserts per-flow completion facts are bit-identical.
-* **warm-start churn** — repeated single-flow churn against a large
-  multi-round solution: consecutive reallocations differ by one class,
-  so the warm-started allocator replays almost every round instead of
-  recomputing it, bit-identically.
+  allocator itself.
 
 Perf-counter totals are printed with each benchmark so regressions in
-collapsing ratio, coalescing, or warm-start replay show up in CI
-output, not just wall clock. Run with ``--benchmark-disable`` for a
-fast smoke check.
+collapsing ratio or coalescing show up in CI output, not just wall
+clock. Run with ``--benchmark-disable`` for a fast smoke check.
 """
 
 from __future__ import annotations
@@ -28,9 +24,8 @@ import time
 
 from repro.simnet.fairshare import (
     FairShareAllocator,
-    compute_fair_rates_optimized,
+    compute_fair_rates,
     compute_fair_rates_reference,
-    use_engine,
 )
 from repro.simnet.flow import Flow
 from repro.simnet.kernel import EventKernel
@@ -86,7 +81,7 @@ def test_perf_dense_surge_allocator_speedup(benchmark):
 
     # Verify both engines agree on this population before timing it.
     reference_rates = compute_fair_rates_reference(flows)
-    optimized_rates = compute_fair_rates_optimized(flows)
+    optimized_rates = compute_fair_rates(flows)
     for flow in flows:
         assert abs(optimized_rates[flow] - reference_rates[flow]) <= \
             1e-9 * max(1.0, reference_rates[flow])
@@ -129,134 +124,41 @@ def test_perf_dense_surge_allocator_speedup(benchmark):
     assert speedup >= 5.0, f"dense-surge speedup {speedup:.1f}x < 5x"
 
 
-def _run_churn_storm(engine: str) -> tuple[float, PerfCounters, list[tuple]]:
-    """Start/finish storms through the full network stack.
-
-    Both engines consume the *same* seeded workload, so the returned
-    per-flow trace (state, bytes, timestamps, in creation order) must be
-    bit-identical across engines.
-    """
+def _run_churn_storm() -> tuple[float, PerfCounters]:
+    """Start/finish storms through the full network stack."""
     counters = PerfCounters()
-    with use_engine(engine):
-        kernel = EventKernel()
-        net = FluidNetwork(kernel, counters=counters)
-        rng = substream(2023, "bench", "churn")
-        bridge = Resource("bridge", 40 * _MBPS, background_load=4.0)
-        links = [Resource(f"link{i}", 20 * _MBPS) for i in range(8)]
-        flows = []
-        start = time.perf_counter()
-        for wave in range(60):
-            doomed = []
-            for i in range(40):
-                link = links[i % len(links)]
-                flow = net.start_flow((link, bridge),
-                                      rng.uniform(5e4, 5e6))
-                flows.append(flow)
-                if i % 4 == 0:
-                    doomed.append(flow)
-            kernel.run(until=kernel.now + 0.25)
-            for flow in doomed:  # simulated user cancellations
-                net.abort_flow(flow)
-            kernel.run(until=kernel.now + 0.75)
-        kernel.run()
-        elapsed = time.perf_counter() - start
-        trace = [(flow.state.value, flow.bytes_done, flow.started_at,
-                  flow.finished_at) for flow in flows]
-    return elapsed, counters, trace
+    kernel = EventKernel()
+    net = FluidNetwork(kernel, counters=counters)
+    rng = substream(2023, "bench", "churn")
+    bridge = Resource("bridge", 40 * _MBPS, background_load=4.0)
+    links = [Resource(f"link{i}", 20 * _MBPS) for i in range(8)]
+    start = time.perf_counter()
+    for wave in range(60):
+        doomed = []
+        for i in range(40):
+            link = links[i % len(links)]
+            flow = net.start_flow((link, bridge), rng.uniform(5e4, 5e6))
+            if i % 4 == 0:
+                doomed.append(flow)
+        kernel.run(until=kernel.now + 0.25)
+        for flow in doomed:  # simulated user cancellations
+            net.abort_flow(flow)
+        kernel.run(until=kernel.now + 0.75)
+    kernel.run()
+    return time.perf_counter() - start, counters
 
 
 def test_perf_churn_storm_network(benchmark):
-    """End-to-end start/abort/complete storm: optimized engine wins and
-    epoch batching coalesces the same-instant mutations."""
-
-    def run():
-        ref_s, _, ref_trace = _run_churn_storm("reference")
-        opt_s, opt_counters, opt_trace = _run_churn_storm("optimized")
-        return ref_s, opt_s, opt_counters, ref_trace, opt_trace
-
-    ref_s, opt_s, counters, ref_trace, opt_trace = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-    speedup = ref_s / opt_s
-    print(f"\nchurn storm (2400 flows, start/abort waves):")
-    print(f"  reference engine: {seconds_to_ms(ref_s):8.1f} ms")
-    print(f"  optimized engine: {seconds_to_ms(opt_s):8.1f} ms   speedup: {speedup:.1f}x")
+    """End-to-end start/abort/complete storm: epoch batching coalesces
+    the same-instant mutations and accounting stays per class."""
+    elapsed, counters = benchmark.pedantic(_run_churn_storm, rounds=1,
+                                           iterations=1)
+    print(f"\nchurn storm (2400 flows, start/abort waves): "
+          f"{seconds_to_ms(elapsed):8.1f} ms")
     print(counters.describe())
-    # Same workload, same completions: per-flow facts are bit-identical
-    # across engines (shared per-class accounting + equal rate vectors).
-    assert opt_trace == ref_trace
     # Epoch batching: each 40-flow wave coalesces into few reallocations.
     assert counters.coalesced_mutations > counters.reallocations
     # Per-class accounting took the per-event cost from O(flows) to
     # O(classes): ETA refreshes track classes now, far below the flow
     # totals the old fan-out re-touched every event.
     assert counters.eta_refreshes < counters.flows_allocated / 20
-    # Pre-PR-4 this scenario ran ~14x slower (per-flow accounting); the
-    # reference engine shares the network-layer gains, so the ratio
-    # floor is well above PR 1's 1.3x even on noisy CI runners.
-    assert speedup >= 5.0, f"churn speedup {speedup:.2f}x < 5x"
-
-
-def _warm_start_churn(warm: bool, iterations: int = 150,
-                      ) -> tuple[float, PerfCounters, list]:
-    """Repeated single-flow churn against a 150-round solution.
-
-    One access link per class plus a shared backbone; each iteration a
-    lone flow joins on its own link and leaves again — the delta leaves
-    every recorded round valid, so the warm allocator replays instead of
-    recomputing.
-    """
-    alloc = FairShareAllocator(warm_start=warm)
-    backbone = Resource("backbone", 8000 * _MBPS)
-    links = [Resource(f"wlink{i}", (0.8 + 0.008 * i) * _MBPS)
-             for i in range(150)]
-    for link in links:
-        alloc.add_flow(Flow((link, backbone), 1e9))
-    xlink = Resource("xlink", 4 * _MBPS)
-    counters = PerfCounters()
-    alloc.allocate(counters)
-    rates = []
-    start = time.perf_counter()
-    for _ in range(iterations):
-        extra = Flow((xlink, backbone), 1e9)
-        alloc.add_flow(extra)
-        alloc.allocate(counters)
-        rates.append([cls.rate for cls in alloc.classes()])
-        alloc.remove_flow(extra)
-        alloc.allocate(counters)
-        rates.append([cls.rate for cls in alloc.classes()])
-    elapsed = time.perf_counter() - start
-    return elapsed, counters, rates
-
-
-def test_perf_warm_start_single_flow_churn(benchmark):
-    """Warm-started allocate() beats a cold allocator on repeated
-    single-flow churn, with bit-identical rate vectors."""
-
-    def run():
-        # Best-of-3 per mode: the windows are small enough that one
-        # scheduler stall on a shared CI runner must not flip the
-        # speedup assertion.
-        cold = min((_warm_start_churn(False) for _ in range(3)),
-                   key=lambda r: r[0])
-        warm = min((_warm_start_churn(True) for _ in range(3)),
-                   key=lambda r: r[0])
-        return cold, warm
-
-    cold, warm = benchmark.pedantic(run, rounds=1, iterations=1)
-    cold_s, cold_counters, cold_rates = cold
-    warm_s, warm_counters, warm_rates = warm
-    speedup = cold_s / warm_s
-    print(f"\nwarm-start churn (150 classes, 300 single-flow deltas):")
-    print(f"  cold allocator: {seconds_to_ms(cold_s):8.1f} ms   "
-          f"rounds run: {cold_counters.waterfill_rounds}")
-    print(f"  warm allocator: {seconds_to_ms(warm_s):8.1f} ms   "
-          f"rounds run: {warm_counters.waterfill_rounds}   "
-          f"replayed: {warm_counters.rounds_replayed}   speedup: "
-          f"{speedup:.2f}x")
-    # Replay must be bit-identical, hit on (almost) every reallocation,
-    # and reuse the overwhelming majority of rounds.
-    assert warm_rates == cold_rates
-    assert warm_counters.warm_start_hits >= 2 * 150 - 1
-    assert warm_counters.rounds_replayed > \
-        10 * warm_counters.waterfill_rounds
-    assert speedup >= 1.5, f"warm-start speedup {speedup:.2f}x < 1.5x"

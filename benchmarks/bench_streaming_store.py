@@ -13,7 +13,7 @@ acceptance reductions — ``per_target_mean_table``, ``values_by``,
 
 Asserts (a) the streaming path's peak ``tracemalloc`` memory is at most
 25% of the in-memory path's, (b) every reduction is *bit-identical*
-across the two paths and across both analysis engines, and (c)
+across the two paths, and (c)
 ``ParallelCampaign`` spool mode reproduces the in-memory merge
 bit-identically at ``workers=1`` and ``workers=4``.
 """
@@ -28,7 +28,6 @@ import tracemalloc
 from array import array
 from typing import Iterator
 
-from repro.analysis import backend
 from repro.measure.records import (
     MeasurementRecord,
     Method,
@@ -160,8 +159,7 @@ def test_bench_streaming_store_bounded_memory(tmp_path):
     ratio = stream_peak / mem_peak
     print(f"\nstreaming store over {n} records "
           f"({len(_PTS)} PTs x {_N_TARGETS} targets, "
-          f"chunk={_CHUNK_SIZE}, {len(store.shard_paths)} shards, "
-          f"engine={backend.current_engine()})")
+          f"chunk={_CHUNK_SIZE}, {len(store.shard_paths)} shards)")
     print(f"  in-memory path: peak {mem_peak:8.1f} MiB   {mem_s:6.1f}s")
     print(f"  streaming path: peak {stream_peak:8.1f} MiB   {stream_s:6.1f}s"
           f"   ({100 * ratio:.1f}% of in-memory)")
@@ -171,19 +169,6 @@ def test_bench_streaming_store_bounded_memory(tmp_path):
     assert ratio <= 0.25, (
         f"streaming peak is {100 * ratio:.1f}% of the in-memory peak "
         "(expected <= 25%)")
-
-    # Cross-engine bit-equality of the *chunked* reductions: fold the
-    # same shards under the other engine and compare everything.
-    if backend.numpy_available():
-        other = "python" if backend.current_engine() == "numpy" else "numpy"
-        with backend.use_engine(other):
-            store.columns().clear_derived()
-            other_out = run_reductions(store)
-        assert other_out == stream_out, (
-            f"{other} engine diverged on chunked reductions")
-        print(f"  engine cross-check ({other}): bit-identical")
-    else:
-        print("  engine cross-check: numpy unavailable (fallback-only run)")
 
 
 def test_bench_spool_merge_bit_identity(tmp_path):

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import backend
 from repro.core.config import Scale
 from repro.errors import ConfigError, UnitsExhaustedError
 from repro.core.experiments import (
@@ -172,11 +171,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("--resume needs --spool: only spooled campaigns keep a "
               "durable unit journal to resume from", file=sys.stderr)
         return 2
-    try:
-        backend.set_engine(args.analysis_engine)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     scale = _SCALES[args.scale]()
     perf = PTPerf(seed=args.seed, scale=scale)
     experiments = args.experiments or list(EXPERIMENTS)
@@ -263,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1,
                      help="worker processes for --seeds fan-out "
                           "(1 = in-process, deterministic serial order)")
-    run.add_argument("--analysis-engine", choices=("auto", "numpy", "python"),
-                     default="auto",
-                     help="statistical-reduction engine (auto = numpy when "
-                          "importable; both engines are bit-identical)")
     run.add_argument("--out-dir", default=None, metavar="DIR",
                      help="export each experiment's records as a sharded "
                           "JSONL result store under DIR/<experiment-id>")

@@ -1,8 +1,7 @@
 """Statistical analysis: paired t-tests, ECDFs, box stats, tables.
 
-The batched reductions live in :mod:`repro.analysis.backend`, which is
-numpy-accelerated when numpy is importable and falls back to bit-equal
-pure python otherwise (select with ``backend.use_engine``).
+The batched reductions live in :mod:`repro.analysis.backend`: standard
+library only, with exactly rounded (order-independent) sums.
 """
 
 from repro.analysis import backend
@@ -15,12 +14,6 @@ from repro.analysis.aggregate import (
     pt_label,
     reliability_by_pt,
     ttest_matrix,
-)
-from repro.analysis.backend import (
-    current_engine,
-    numpy_available,
-    set_engine,
-    use_engine,
 )
 from repro.analysis.boxstats import BoxStats
 from repro.analysis.ecdf import ECDF
@@ -36,9 +29,9 @@ from repro.analysis.tdist import incomplete_beta, t_ppf, t_sf, t_two_sided_p
 
 __all__ = [
     "BoxStats", "ECDF", "PairedTTest", "SummaryStats", "backend",
-    "box_by_pt", "category_ttests", "comparison_rows", "current_engine",
-    "ecdf_by_pt", "format_p", "format_t", "incomplete_beta", "mean_by_pt",
-    "numpy_available", "pair_label", "paired_t_test", "pt_label",
-    "reliability_by_pt", "render_table", "set_engine", "summary", "t_ppf",
-    "t_sf", "t_two_sided_p", "ttest_matrix", "ttest_table", "use_engine",
+    "box_by_pt", "category_ttests", "comparison_rows", "ecdf_by_pt",
+    "format_p", "format_t", "incomplete_beta", "mean_by_pt", "pair_label",
+    "paired_t_test", "pt_label", "reliability_by_pt", "render_table",
+    "summary", "t_ppf", "t_sf", "t_two_sided_p", "ttest_matrix",
+    "ttest_table",
 ]

@@ -1,92 +1,31 @@
-"""Batched statistical reductions: numpy engine + pure-python fallback.
+"""Batched statistical reductions over plain python floats.
 
 The analysis layer's hot loops — sorting samples for ECDFs and box
 plots, grouping tens of thousands of records into (pt, target) cells,
 and paired-difference statistics for the appendix t-test tables — all
-route through this module. Two engines implement every operation:
+route through this module. It depends on the standard library only.
 
-* ``numpy`` — vectorized sorting/grouping/searching, selected by
-  default when numpy is importable;
-* ``python`` — a dependency-free fallback producing bit-identical
-  results.
+Results do not depend on the order elements are visited in:
 
-Bit-equality between the engines is by construction, not by accident:
-
-* sorting, searching (``searchsorted`` vs :func:`bisect.bisect_right`)
-  and rank selection are exact operations — both engines produce the
-  same doubles;
+* sorting, searching (:func:`bisect.bisect_right`) and rank selection
+  are exact operations;
 * every reduction to a *scalar* (mean, standard deviation, paired-diff
-  moments) funnels through :func:`math.fsum`, which is exactly rounded
-  and therefore independent of summation order, so it does not matter
-  that the engines visit elements differently.
-
-The engine is selected once per process with :func:`set_engine` /
-:func:`use_engine`, mirroring the allocator-engine switch in
-:mod:`repro.simnet.fairshare`.
+  moments) funnels through :func:`math.fsum` or :class:`ExactSum`,
+  which are exactly rounded and therefore independent of summation
+  order and chunking. This is what lets the chunked column store fold
+  per-shard partial aggregates and still match the in-memory path
+  bitwise.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
 import math
-from typing import Iterator, Optional, Sequence
-
-from repro.errors import ConfigError
-
-try:  # numpy is optional: every operation has a pure-python fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
-    _np = None
-
-#: Engine names accepted by :func:`set_engine`.
-ENGINES = ("numpy", "python")
-
-
-def numpy_available() -> bool:
-    """Whether the numpy engine can be selected in this process."""
-    return _np is not None
-
-
-def default_engine() -> str:
-    """The engine picked at import time: numpy when importable."""
-    return "numpy" if numpy_available() else "python"
-
-
-_engine = default_engine()
-
-
-def set_engine(name: str) -> None:
-    """Select the backend engine used by every batched reduction."""
-    global _engine
-    if name == "auto":
-        name = default_engine()
-    if name not in ENGINES:
-        raise ConfigError(f"unknown analysis engine {name!r}; "
-                          f"known: {', '.join(ENGINES)} (or 'auto')")
-    if name == "numpy" and not numpy_available():
-        raise ConfigError("analysis engine 'numpy' requested but numpy "
-                          "is not importable; use 'python' or 'auto'")
-    _engine = name
-
-
-def current_engine() -> str:
-    return _engine
-
-
-@contextlib.contextmanager
-def use_engine(name: str) -> Iterator[None]:
-    """Temporarily switch the analysis engine (tests, benchmarks)."""
-    previous = _engine
-    set_engine(name)
-    try:
-        yield
-    finally:
-        set_engine(previous)
+from typing import Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
-# shared scalar kernels (engine-independent by design)
+# scalar kernels
 # ---------------------------------------------------------------------------
 
 
@@ -102,8 +41,7 @@ def mean_sd(values: Sequence[float]) -> tuple[float, float]:
     """(mean, sample standard deviation); sd is 0.0 for n == 1.
 
     Two-pass ``fsum`` reduction: both passes are exactly rounded, so
-    the result does not depend on element order and both engines share
-    this single definition.
+    the result does not depend on element order.
     """
     n = len(values)
     if n == 0:
@@ -201,14 +139,12 @@ def linear_quantile(sorted_values: Sequence[float], q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# engine-dispatched batched operations
+# batched operations
 # ---------------------------------------------------------------------------
 
 
 def sort_values(values: Sequence[float]) -> list[float]:
     """Ascending sort, returned as a plain list of python floats."""
-    if _engine == "numpy" and _np is not None:
-        return _np.sort(_np.asarray(values, dtype=_np.float64)).tolist()
     return sorted(float(v) for v in values)
 
 
@@ -218,10 +154,6 @@ def ecdf_arrays(values: Sequence[float],
     n = len(values)
     if n == 0:
         raise ValueError("cannot build an ECDF from an empty sample")
-    if _engine == "numpy" and _np is not None:
-        xs = _np.sort(_np.asarray(values, dtype=_np.float64))
-        ps = _np.arange(1, n + 1, dtype=_np.float64) / n
-        return xs.tolist(), ps.tolist()
     xs = sorted(float(v) for v in values)
     return xs, [(i + 1) / n for i in range(n)]
 
@@ -230,8 +162,6 @@ def ecdf_ps(n: int) -> list[float]:
     """Cumulative probabilities (i+1)/n for an n-sample ECDF."""
     if n == 0:
         raise ValueError("cannot build an ECDF from an empty sample")
-    if _engine == "numpy" and _np is not None:
-        return (_np.arange(1, n + 1, dtype=_np.float64) / n).tolist()
     return [(i + 1) / n for i in range(n)]
 
 
@@ -241,11 +171,6 @@ def ecdf_evaluate_many(sorted_values: Sequence[float],
     n = len(sorted_values)
     if n == 0:
         raise ValueError("empty sample")
-    if _engine == "numpy" and _np is not None:
-        counts = _np.searchsorted(
-            _np.asarray(sorted_values, dtype=_np.float64),
-            _np.asarray(queries, dtype=_np.float64), side="right")
-        return (counts / n).tolist()
     return [bisect.bisect_right(sorted_values, x) / n for x in queries]
 
 
@@ -254,27 +179,14 @@ def paired_diff_stats(a: Sequence[float], b: Sequence[float],
     """(mean_a, mean_b, mean_diff, sd_diff) of aligned samples.
 
     ``mean_diff`` is mean(a - b); ``sd_diff`` is the sample standard
-    deviation of the per-pair differences. The differences themselves
-    are identical doubles in both engines (elementwise IEEE subtraction)
-    and the moments are ``fsum``-reduced, so results are bit-equal.
+    deviation of the per-pair differences; the moments are
+    ``fsum``-reduced, so results do not depend on element order.
     """
     n = len(a)
     if n != len(b):
         raise ValueError("paired samples must have equal length")
     if n == 0:
         raise ValueError("empty sample")
-    if _engine == "numpy" and _np is not None:
-        a_arr = _np.asarray(a, dtype=_np.float64)
-        b_arr = _np.asarray(b, dtype=_np.float64)
-        diffs = a_arr - b_arr
-        mean_a = math.fsum(a_arr.tolist()) / n
-        mean_b = math.fsum(b_arr.tolist()) / n
-        mean_diff = math.fsum(diffs.tolist()) / n
-        if n == 1:
-            return mean_a, mean_b, mean_diff, 0.0
-        deviations = diffs - mean_diff
-        ss = math.fsum((deviations * deviations).tolist())
-        return mean_a, mean_b, mean_diff, math.sqrt(ss / (n - 1))
     mean_a = math.fsum(a) / n
     mean_b = math.fsum(b) / n
     mean_diff, sd_diff = mean_sd([float(x) - float(y)
@@ -288,35 +200,7 @@ def paired_diff_stats(a: Sequence[float], b: Sequence[float],
 #
 # All take a ``codes`` column assigning each row to a group in
 # [0, n_groups); rows with a negative code are excluded (method-filter
-# misses and None-valued metrics). ``codes``/``values`` may be plain
-# lists or numpy arrays — the numpy engine converts as needed, so
-# callers holding cached arrays avoid per-call conversion.
-
-
-def _as_code_array(codes):
-    return codes if isinstance(codes, _np.ndarray) \
-        else _np.asarray(codes, dtype=_np.int64)
-
-
-def _as_value_array(values):
-    return values if isinstance(values, _np.ndarray) \
-        else _np.asarray(values, dtype=_np.float64)
-
-
-def _grouped_segments(codes, values) -> "tuple":
-    """numpy helper: (codes, values) partitioned by code, negatives
-    dropped.
-
-    Stable sort keeps record order inside each group, matching the
-    append order of the python fallback.
-    """
-    codes = _as_code_array(codes)
-    values = _as_value_array(values)
-    order = _np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    sorted_values = values[order]
-    first_valid = int(_np.searchsorted(sorted_codes, 0, side="left"))
-    return sorted_codes[first_valid:], sorted_values[first_valid:]
+# misses and None-valued metrics).
 
 
 def group_flat(codes, values, n_groups: int,
@@ -328,13 +212,6 @@ def group_flat(codes, values, n_groups: int,
     ``n_groups + 1`` entries; group g occupies ``flat[starts[g]:
     starts[g + 1]]`` (empty groups get zero-length slices).
     """
-    if _engine == "numpy" and _np is not None:
-        sorted_codes, sorted_values = _grouped_segments(codes, values)
-        counts = _np.bincount(sorted_codes, minlength=n_groups) \
-            if len(sorted_codes) else _np.zeros(n_groups, dtype=_np.int64)
-        starts = [0]
-        starts.extend(_np.cumsum(counts).tolist())
-        return sorted_values.tolist(), starts
     buckets: list[list[float]] = [[] for _ in range(n_groups)]
     for code, value in zip(codes, values):
         if code >= 0:
@@ -357,19 +234,8 @@ def group_sorted_flat(codes, values, n_groups: int,
                       ) -> tuple[list[float], list[int]]:
     """:func:`group_flat` with every group's slice sorted ascending.
 
-    The numpy engine partitions once by group code, then sorts each
-    group's contiguous slice in place; ECDF construction over grouped
-    values skips its own sort entirely.
+    ECDF construction over grouped values skips its own sort entirely.
     """
-    if _engine == "numpy" and _np is not None:
-        sorted_codes, sorted_values = _grouped_segments(codes, values)
-        counts = _np.bincount(sorted_codes, minlength=n_groups) \
-            if len(sorted_codes) else _np.zeros(n_groups, dtype=_np.int64)
-        starts = [0]
-        starts.extend(_np.cumsum(counts).tolist())
-        for g in range(n_groups):
-            sorted_values[starts[g]:starts[g + 1]].sort()
-        return sorted_values.tolist(), starts
     flat, starts = group_flat(codes, values, n_groups)
     for g in range(n_groups):
         flat[starts[g]:starts[g + 1]] = \
@@ -387,12 +253,6 @@ def group_means(codes, values, n_groups: int) -> list[Optional[float]]:
 
 def group_counts(codes, n_groups: int) -> list[int]:
     """Per-group row counts (negative codes excluded)."""
-    if _engine == "numpy" and _np is not None:
-        arr = _as_code_array(codes)
-        arr = arr[arr >= 0]
-        if len(arr) == 0:
-            return [0] * n_groups
-        return _np.bincount(arr, minlength=n_groups).tolist()
     out = [0] * n_groups
     for code in codes:
         if code >= 0:

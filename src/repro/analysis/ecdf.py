@@ -36,7 +36,7 @@ class ECDF:
         return bisect.bisect_right(self.xs, x) / len(self.xs)
 
     def evaluate_many(self, queries: Sequence[float]) -> list[float]:
-        """Batched :meth:`evaluate` (vectorized under the numpy engine)."""
+        """Batched :meth:`evaluate`."""
         return backend.ecdf_evaluate_many(self.xs, queries)
 
     def fraction_below(self, x: float) -> float:

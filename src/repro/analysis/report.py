@@ -20,8 +20,8 @@ _HEADER = """\
 Generated by `repro.analysis.report.generate_experiments_md` (seed={seed},
 scale: {n_sites} sites x {reps} accesses, {attempts} file attempts,
 {iters} fixed-circuit iterations). The statistical reductions are
-engine-independent: the numpy backend and the pure-python fallback
-produce bit-identical tables (see `docs/analysis-backend.md`).
+exactly rounded, so the tables do not depend on summation order (see
+`docs/analysis-backend.md`).
 
 The substrate is a deterministic flow-level simulator, not the authors'
 testbed, so absolute numbers are not expected to match; the *shape* is:

@@ -3,8 +3,8 @@
 For every PT pair the paper reports: 95% CI bounds, t-value, P-value,
 and the mean difference of per-website access times (Tables 3-10).
 :func:`paired_t_test` produces exactly those columns. The moment
-computations route through :mod:`repro.analysis.backend`, so they are
-vectorized under the numpy engine and bit-identical under the fallback.
+computations route through :mod:`repro.analysis.backend`, whose
+``fsum`` reductions make them independent of element order.
 """
 
 from __future__ import annotations

@@ -134,10 +134,7 @@ class ColumnStore:
 
     Extracts group codes (pt, target, method, status) and, lazily, one
     value column per metric field, so the analysis reductions can be
-    batched instead of re-filtering the record list per transport. When
-    the numpy analysis engine is active, code and value columns are
-    mirrored as cached arrays so repeated reductions skip per-call
-    conversion.
+    batched instead of re-filtering the record list per transport.
     """
 
     def __init__(self, records: Sequence[MeasurementRecord]) -> None:
@@ -182,17 +179,7 @@ class ColumnStore:
         self._first_category = first_category
         self._records = records
         self._value_columns: dict[str, list[Optional[float]]] = {}
-        self._arrays: dict[str, object] = {}
         self._mean_tables: dict[tuple, dict[str, dict[str, float]]] = {}
-
-    def clear_derived(self) -> None:
-        """Drop memoized reduction results (not the extracted columns).
-
-        Benchmarks comparing engine throughput call this between timed
-        rounds; regular callers never need to (the memos are dropped
-        with the store when records are appended).
-        """
-        self._mean_tables.clear()
 
     # -- column access -------------------------------------------------
 
@@ -204,42 +191,15 @@ class ColumnStore:
             self._value_columns[value] = column
         return column
 
-    def _array(self, key: str, build: Callable[[], object]) -> object:
-        arr = self._arrays.get(key)
-        if arr is None:
-            arr = self._arrays[key] = build()
-        return arr
-
-    def _engine_columns(self, value: str, method: Optional[Method],
-                        base_codes, base_key: str):
-        """(masked codes, values) in the active engine's representation.
+    def _masked_columns(self, value: str, method: Optional[Method],
+                        base_codes: list[int],
+                        ) -> tuple[list[int], list[float]]:
+        """(masked codes, values) ready for a grouped reduction.
 
         Rows whose method mismatches the filter or whose metric is None
         get code -1 (excluded from every grouped reduction).
         """
-        from repro.analysis import backend
-
         column = self.value_column(value)
-        if backend.current_engine() == "numpy":
-            import numpy as np
-
-            codes = self._array(base_key, lambda: np.asarray(
-                base_codes, dtype=np.int64))
-            values = self._array(f"value:{value}", lambda: np.asarray(
-                [v if v is not None else 0.0 for v in column],
-                dtype=np.float64))
-            mask = None
-            if method is not None:
-                methods = self._array("method", lambda: np.asarray(
-                    self.method_codes, dtype=np.int64))
-                mask = methods == _METHOD_CODE[method]
-            none_mask = self._array(f"none:{value}", lambda: np.asarray(
-                [v is None for v in column], dtype=bool))
-            if none_mask.any():
-                mask = ~none_mask if mask is None else (mask & ~none_mask)
-            if mask is not None:
-                codes = np.where(mask, codes, -1)
-            return codes, values
         method_code = None if method is None else _METHOD_CODE[method]
         codes = [
             code if (method_code is None or m == method_code)
@@ -257,18 +217,17 @@ class ColumnStore:
 
         if by == "pt":
             labels: tuple[str, ...] = self.pts
-            base_codes, base_key = self.pt_codes, "pt"
+            base_codes = self.pt_codes
         elif by == "target":
             labels = self.targets
-            base_codes, base_key = self.target_codes, "target"
+            base_codes = self.target_codes
         elif by == "method":
             labels = tuple(m.value for m in _METHODS)
-            base_codes, base_key = self.method_codes, "method"
+            base_codes = self.method_codes
         else:
             raise ValueError(f"cannot group by {by!r}; "
                              "known: pt, target, method")
-        codes, values = self._engine_columns(value, method, base_codes,
-                                             base_key)
+        codes, values = self._masked_columns(value, method, base_codes)
         grouper = backend.group_sorted_flat if sort else backend.group_flat
         flat, starts = grouper(codes, values, len(labels))
         return GroupedValues(labels=labels, values=flat,
@@ -281,19 +240,9 @@ class ColumnStore:
         from repro.analysis import backend
 
         n_targets = len(self.targets)
-        codes, values = self._engine_columns(value, method, self.pt_codes,
-                                             "pt")
-        if backend.current_engine() == "numpy":
-            import numpy as np
-
-            targets = self._array("target", lambda: np.asarray(
-                self.target_codes, dtype=np.int64))
-            combined = np.where(codes >= 0,
-                                codes * n_targets + targets, -1)
-        else:
-            combined = [
-                code * n_targets + target if code >= 0 else -1
-                for code, target in zip(codes, self.target_codes)]
+        codes, values = self._masked_columns(value, method, self.pt_codes)
+        combined = [code * n_targets + target if code >= 0 else -1
+                    for code, target in zip(codes, self.target_codes)]
         return backend.group_flat(combined, values,
                                   len(self.pts) * n_targets)
 
@@ -323,14 +272,12 @@ class ColumnStore:
         The paper accesses every website several times and averages per
         website before testing; this computes that reduction for every
         transport at once (the per-pair re-filtering it replaces was
-        O(pairs x records)) and memoizes it per (value, method, engine)
-        — one report pipeline asks for the same table from box stats,
-        means, and both t-test reductions. Treat the returned nested
-        dict as read-only.
+        O(pairs x records)) and memoizes it per (value, method) — one
+        report pipeline asks for the same table from box stats, means,
+        and both t-test reductions. Treat the returned nested dict as
+        read-only.
         """
-        from repro.analysis import backend
-
-        key = (value, method, backend.current_engine())
+        key = (value, method)
         cached = self._mean_tables.get(key)
         if cached is not None:
             return cached
@@ -373,17 +320,8 @@ class ColumnStore:
         from repro.analysis import backend
 
         n_statuses = len(_STATUSES)
-        if backend.current_engine() == "numpy":
-            import numpy as np
-
-            pts = self._array("pt", lambda: np.asarray(
-                self.pt_codes, dtype=np.int64))
-            statuses = self._array("status", lambda: np.asarray(
-                self.status_codes, dtype=np.int64))
-            combined = pts * n_statuses + statuses
-        else:
-            combined = [p * n_statuses + s
-                        for p, s in zip(self.pt_codes, self.status_codes)]
+        combined = [p * n_statuses + s
+                    for p, s in zip(self.pt_codes, self.status_codes)]
         counts = backend.group_counts(combined,
                                       len(self.pts) * n_statuses)
         return {pt: counts[p * n_statuses:(p + 1) * n_statuses]

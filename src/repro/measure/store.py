@@ -16,10 +16,8 @@ CPU-bound. This module is the scale leg of the roadmap's north star:
   ``status_fractions_by_pt``) by folding *mergeable* partial aggregates
   per shard — exact sums via :class:`repro.analysis.backend.ExactSum`,
   integer status counts, first-seen label registries — instead of
-  materializing flat columns. Per-chunk grouping runs through the
-  analysis backend, so the numpy engine accelerates each shard and the
-  pure-python fallback stays bit-identical, selected by the same
-  :func:`repro.analysis.backend.set_engine` switch.
+  materializing flat columns. Per-chunk grouping runs through the same
+  analysis backend as the in-memory path.
 
 Exactness is by construction: every scalar that the in-memory path
 computes with one ``math.fsum`` is computed here from Shewchuk partials
@@ -95,10 +93,10 @@ class ChunkedColumnStore:
     ``chunks`` is a zero-argument callable returning a fresh iterable
     of record sequences — each reduction streams the chunks once,
     folding per-chunk aggregates produced by the regular
-    :class:`~repro.measure.records.ColumnStore` machinery (and thus by
-    the active analysis engine). Labels (transports, targets) register
-    in global first-seen order as chunks stream by, which is exactly
-    the order the in-memory extraction would have seen them in.
+    :class:`~repro.measure.records.ColumnStore` machinery. Labels
+    (transports, targets) register in global first-seen order as chunks
+    stream by, which is exactly the order the in-memory extraction
+    would have seen them in.
 
     Memory: the fold-based reductions (:meth:`per_target_mean_table`,
     :meth:`status_fractions_by_pt`, :meth:`pt_categories`) hold one
@@ -110,8 +108,7 @@ class ChunkedColumnStore:
 
     The other deliberate caveat: every reduction call is a full pass
     over the chunks (a disk re-read for file-backed stores). Mean
-    tables memoize per (value, method, engine), mirroring the
-    in-memory store.
+    tables memoize per (value, method), mirroring the in-memory store.
     """
 
     def __init__(self, chunks: Callable[[], Iterable[Sequence[MeasurementRecord]]],
@@ -179,10 +176,6 @@ class ChunkedColumnStore:
             for _ in self._chunk_stores():
                 pass
 
-    def clear_derived(self) -> None:
-        """Drop memoized reduction results (benchmark parity hook)."""
-        self._mean_tables.clear()
-
     # -- the ResultSet reduction surface --------------------------------
 
     @property
@@ -200,11 +193,11 @@ class ChunkedColumnStore:
                        sort: bool = False) -> GroupedValues:
         """Streaming :meth:`ColumnStore.grouped_values` equivalent.
 
-        Per-chunk grouping runs in the active engine; chunk slices are
-        concatenated per label (chunk order = record order), and with
-        ``sort=True`` each complete group is sorted once at the end —
-        sorting is exact, so the result is bit-identical to sorting
-        per-group over the full in-memory column.
+        Chunk slices are concatenated per label (chunk order = record
+        order), and with ``sort=True`` each complete group is sorted
+        once at the end — sorting is exact, so the result is
+        bit-identical to sorting per-group over the full in-memory
+        column.
         """
         buckets: dict[str, list[float]] = {}
         if by == "method":
@@ -243,7 +236,7 @@ class ChunkedColumnStore:
         whole group, so the table is bit-identical to
         :meth:`ColumnStore.per_target_mean_table`.
         """
-        key = (value, method, backend.current_engine())
+        key = (value, method)
         cached = self._mean_tables.get(key)
         if cached is not None:
             return cached

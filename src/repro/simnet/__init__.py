@@ -26,12 +26,8 @@ from repro.simnet.fairshare import (
     FairShareAllocator,
     FlowClass,
     compute_fair_rates,
-    compute_fair_rates_optimized,
     compute_fair_rates_reference,
-    current_engine,
     effective_bottleneck_bps,
-    set_engine,
-    use_engine,
 )
 from repro.simnet.flow import Flow, FlowState
 from repro.simnet.perfcounters import PerfCounters
@@ -62,9 +58,7 @@ __all__ = [
     "Parallel", "PerfCounters", "PoissonBackground", "PRIVATE_BRIDGE_LOAD",
     "ProcessHandle", "Resource", "Transfer", "TransferResult",
     "VOLUNTEER_GUARD_LOAD", "VOLUNTEER_RELAY_LOAD", "base_rtt",
-    "compute_fair_rates", "compute_fair_rates_optimized",
-    "compute_fair_rates_reference", "current_engine", "derive_seed",
+    "compute_fair_rates", "compute_fair_rates_reference", "derive_seed",
     "effective_bottleneck_bps", "great_circle_km", "lognormal_factor",
-    "make_transfer", "run_process", "set_engine", "start_process",
-    "substream", "use_engine",
+    "make_transfer", "run_process", "start_process", "substream",
 ]

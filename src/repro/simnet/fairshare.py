@@ -13,13 +13,8 @@ This is the standard fluid approximation used by flow-level network
 simulators; it is what lets a 1.25M-measurement campaign finish in
 seconds rather than simulating packets.
 
-Two engines implement the same mathematical allocation:
+Two implementations compute the same mathematical allocation:
 
-* :func:`compute_fair_rates_reference` — the original textbook loop.
-  Every call rebuilds all per-resource state and every round re-scans
-  every resource and re-intersects its flow set with the unfrozen set,
-  so one call is O(rounds x resources x flows). Kept as the oracle for
-  property tests and benchmarks.
 * :class:`FairShareAllocator` — the production engine, owned by a
   :class:`~repro.simnet.network.FluidNetwork`. Flows with an identical
   ``(path, weight)`` signature are collapsed into a *flow class*
@@ -30,73 +25,30 @@ Two engines implement the same mathematical allocation:
   bottleneck of each water-filling round is popped from a share-ordered
   heap with lazy invalidation instead of an O(R) scan. One reallocation
   is O(C log R) plus the O(F) rate fan-out — no per-event rebuild.
+  :func:`compute_fair_rates` is its stateless one-shot form.
+* :func:`compute_fair_rates_reference` — the original textbook loop.
+  Every call rebuilds all per-resource state and every round re-scans
+  every resource and re-intersects its flow set with the unfrozen set,
+  so one call is O(rounds x resources x flows). No runtime code calls
+  it: it is the oracle for property tests and benchmarks.
 
-:func:`compute_fair_rates` dispatches to the engine selected with
-:func:`set_engine` / :func:`use_engine` (optimized by default). Both
-engines return the same rate vector up to float round-off: they perform
+Both return the same rate vector up to float round-off: they perform
 the same freezes at the same share levels, but accumulate sums in
 different orders.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
-from repro.errors import ConfigError
 from repro.simnet.flow import Flow
 from repro.simnet.perfcounters import PerfCounters
 from repro.simnet.resource import Resource
 
-#: Engine names accepted by :func:`set_engine`.
-ENGINES = ("optimized", "reference")
-
-_engine = "optimized"
-
-
-def set_engine(name: str) -> None:
-    """Select the allocator engine used by :func:`compute_fair_rates`
-    and by every :class:`~repro.simnet.network.FluidNetwork`."""
-    global _engine
-    if name not in ENGINES:
-        raise ConfigError(f"unknown fair-share engine {name!r}; "
-                          f"known: {', '.join(ENGINES)}")
-    _engine = name
-
-
-def current_engine() -> str:
-    return _engine
-
-
-@contextlib.contextmanager
-def use_engine(name: str) -> Iterator[None]:
-    """Temporarily switch the allocator engine (tests, benchmarks)."""
-    previous = _engine
-    set_engine(name)
-    try:
-        yield
-    finally:
-        set_engine(previous)
-
-
-def compute_fair_rates(flows: Iterable[Flow], *,
-                       counters: Optional[PerfCounters] = None,
-                       ) -> Mapping[Flow, float]:
-    """Return the weighted max-min fair rate (bytes/s) for each flow.
-
-    Flows with an empty intersection of resources are impossible by
-    construction (Flow validates non-empty paths). Background load on a
-    resource participates in every round of the water-filling at its
-    weight, so real flows on a busy resource get proportionally less.
-    """
-    if _engine == "reference":
-        return compute_fair_rates_reference(flows, counters=counters)
-    return compute_fair_rates_optimized(flows, counters=counters)
-
 
 # ---------------------------------------------------------------------------
-# reference engine (oracle)
+# reference loop (test oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -171,7 +123,7 @@ def compute_fair_rates_reference(flows: Iterable[Flow], *,
 
 
 # ---------------------------------------------------------------------------
-# optimized engine
+# production engine
 # ---------------------------------------------------------------------------
 
 
@@ -271,22 +223,13 @@ class FairShareAllocator:
     accumulator: joins record the class service offset and register the
     member's finish threshold, leaves force-materialize the member's
     byte progress back into the flow.
-
-    With ``warm_start=True`` (the default), :meth:`allocate` remembers
-    the freeze order and share levels of the previous solution and
-    replays every round the membership/load delta since then provably
-    did not invalidate, re-running only the suffix from the first
-    invalidated round. Replay applies bit-identical arithmetic in
-    bit-identical order, so warm and cold solutions are float-equal.
     """
 
     __slots__ = ("_classes", "_class_of", "_resources", "_total_weight",
                  "_classes_at", "_epoch", "_n_flows", "_track_progress",
-                 "_warm", "counters", "_csn", "_rounds", "_dirty_classes",
-                 "_bg_seen")
+                 "counters", "_csn")
 
     def __init__(self, *, track_progress: bool = False,
-                 warm_start: bool = True,
                  counters: Optional[PerfCounters] = None) -> None:
         self._classes: dict[tuple, FlowClass] = {}
         self._class_of: dict[Flow, FlowClass] = {}
@@ -298,17 +241,8 @@ class FairShareAllocator:
         self._epoch = 0
         self._n_flows = 0
         self._track_progress = track_progress
-        self._warm = warm_start
         self.counters = counters
         self._csn = 0
-        # Previous solution: rounds of (rid, share, frozen classes) in
-        # freeze order; None when no reusable solution exists. Dirty
-        # classes (membership changed since the last allocate) are only
-        # tracked while a previous solution is held.
-        self._rounds: Optional[list[tuple[int, float,
-                                          tuple[FlowClass, ...]]]] = None
-        self._dirty_classes: set[FlowClass] = set()
-        self._bg_seen: dict[int, float] = {}
 
     def __len__(self) -> int:
         return self._n_flows
@@ -355,8 +289,6 @@ class FairShareAllocator:
         weight = cls.weight
         for rid, _mult in cls.res_mults:
             self._total_weight[rid] += weight
-        if self._rounds is not None:
-            self._dirty_classes.add(cls)
         if self._track_progress:
             flow._acct = cls
             flow._service_offset = cls.service
@@ -383,8 +315,6 @@ class FairShareAllocator:
                 self.counters.lazy_materializations += 1
         cls.members.discard(flow)
         self._n_flows -= 1
-        if self._rounds is not None:
-            self._dirty_classes.add(cls)
         weight = cls.weight
         for rid, _mult in cls.res_mults:
             self._total_weight[rid] -= weight
@@ -404,76 +334,22 @@ class FairShareAllocator:
 
     # -- allocation -----------------------------------------------------
 
-    def _min_dirty_share(self, dirty_rids: Iterable[int],
-                         residual: dict[int, float],
-                         live_weight: dict[int, float],
-                         live_count: dict[int, int],
-                         ) -> Optional[tuple[float, int]]:
-        """Smallest ``(share, rid)`` a *dirty* resource currently offers.
-
-        Used during warm-start replay: a recorded round stays valid only
-        while every dirty resource would still be popped after it.
-        """
-        resources = self._resources
-        best: Optional[tuple[float, int]] = None
-        for rid in dirty_rids:
-            if live_count.get(rid, 0) == 0:
-                continue  # exhausted, or resource dropped entirely
-            res = resources.get(rid)
-            if res is None:
-                continue
-            share = residual[rid] / (live_weight[rid] + res.background_load)
-            key = (share, rid)
-            if best is None or key < best:
-                best = key
-        return best
-
-    def _dirty_resources(self) -> set[int]:
-        """Resource ids the delta since the last allocate touched:
-        every resource on a dirty class's path, plus every resource
-        whose background load moved."""
-        dirty_rids: set[int] = set()
-        for dirty in self._dirty_classes:
-            for rid, _mult in dirty.res_mults:
-                dirty_rids.add(rid)
-        bg_seen = self._bg_seen
-        for rid, res in self._resources.items():
-            if bg_seen.get(rid) != res.background_load:
-                dirty_rids.add(rid)
-        return dirty_rids
-
-    def _reset_warm_state(self) -> None:
-        """Drop the recorded solution (fast paths, empty populations)."""
-        self._rounds = None
-        self._dirty_classes.clear()
-
     def allocate(self, counters: Optional[PerfCounters] = None,
                  ) -> Iterable[FlowClass]:
         """Run one water-filling pass; returns the classes with their
-        per-member ``rate`` set.
-
-        Cold cost is O(C log R) plus heap bookkeeping. When a previous
-        solution exists, the prefix of rounds not invalidated by the
-        membership/background-load delta since then is *replayed*
-        (identical arithmetic, no bottleneck search) and only the suffix
-        is recomputed — consecutive reallocations usually differ by one
-        class join/leave, so most rounds replay.
-        """
+        per-member ``rate`` set. Cost is O(C log R) plus heap
+        bookkeeping."""
         if counters is None:
             counters = self.counters
         self._epoch += 1
         epoch = self._epoch
         classes = self._classes
         if not classes:
-            self._reset_warm_state()
             return ()
 
-        # Fast paths for the two dominant small shapes. One class (a
-        # campaign's lone foreground transfer): its bottleneck is just
-        # the min share across its path. One resource (ablation-style
-        # single-pipe churn): every class freezes in round one. Both
-        # are already O(C): recording rounds for them would cost more
-        # than it saves, so they invalidate the warm state instead.
+        # Fast path for the dominant shape: one class (a campaign's lone
+        # foreground transfer, possibly with same-path repeats). Its
+        # bottleneck is just the min share across its path.
         if len(classes) == 1:
             (cls,) = classes.values()
             share = float("inf")
@@ -485,265 +361,90 @@ class FairShareAllocator:
                     share = s
             cls.rate = share * cls.weight
             cls.frozen_epoch = epoch
-            self._reset_warm_state()
             if counters is not None:
                 counters.reallocations += 1
                 counters.waterfill_rounds += 1
                 counters.flows_allocated += self._n_flows
                 counters.classes_allocated += 1
             return classes.values()
-        if len(self._resources) == 1:
-            (rid, res), = self._resources.items()
-            share = res.capacity_bps / (self._total_weight[rid]
-                                        + res.background_load)
-            for cls in classes.values():
-                cls.rate = share * cls.weight
-                cls.frozen_epoch = epoch
-            self._reset_warm_state()
-            if counters is not None:
-                counters.reallocations += 1
-                counters.waterfill_rounds += 1
-                counters.flows_allocated += self._n_flows
-                counters.classes_allocated += len(classes)
-            return classes.values()
 
-        # -- warm-start: full hit ---------------------------------------
-        prev = self._rounds if self._warm else None
-        dirty_rids: set[int] = set()
-        if prev:
-            dirty_rids = self._dirty_resources()
-            if not dirty_rids:
-                # Nothing changed since the previous solution: every
-                # round replays verbatim, and every class already holds
-                # its rate — O(1), no arithmetic at all.
-                if counters is not None:
-                    counters.reallocations += 1
-                    counters.flows_allocated += self._n_flows
-                    counters.classes_allocated += len(classes)
-                    counters.warm_start_hits += 1
-                    counters.rounds_replayed += len(prev)
-                return classes.values()
-
+        resources = self._resources
+        classes_at = self._classes_at
         residual: dict[int, float] = {}
         live_weight: dict[int, float] = {}
         live_count: dict[int, int] = {}
-        resources = self._resources
-        classes_at = self._classes_at
-        total_weight = self._total_weight
-
-        unfrozen = len(classes)
-        rounds = 0
-        replayed = 0
-        new_rounds: list[tuple[int, float, tuple[FlowClass, ...]]] = []
+        heap: list[tuple[float, int]] = []
+        latest: dict[int, float] = {}
+        for rid, res in resources.items():
+            residual[rid] = res.capacity_bps
+            live_weight[rid] = self._total_weight[rid]
+            live_count[rid] = len(classes_at[rid])
+            share = res.capacity_bps / (live_weight[rid]
+                                        + res.background_load)
+            latest[rid] = share
+            heap.append((share, rid))
+        heapq.heapify(heap)
 
         # Throughout, ``x if x > 0.0 else 0.0`` is the inlined (and
         # bit-identical) form of ``max(0.0, x)`` — the clamps sit on the
         # hottest arithmetic in the engine.
+        unfrozen = len(classes)
+        rounds = 0
+        while unfrozen and heap:
+            share, rid = heapq.heappop(heap)
+            if latest.get(rid) != share or live_count[rid] == 0:
+                continue  # stale entry or exhausted resource
+            del latest[rid]
+            rounds += 1
 
-        # -- warm-start replay ------------------------------------------
-        # Replay is *lazy*: per-resource aggregates start out only for
-        # the dirty resources, a replayed round only re-freezes its
-        # classes (epoch + rate) and charges those dirty resources,
-        # whose evolving shares the validity check needs. Clean
-        # resources are not charged round-by-round; the ones still live
-        # at the first invalidated round are reconstructed afterwards by
-        # re-walking the accepted prefix restricted to them — identical
-        # operations in identical order, so the state is bit-equal to an
-        # eager replay (and to a cold run).
-        if prev:
-            for rid in dirty_rids:
-                res = resources.get(rid)
-                if res is None:
-                    continue  # resource left with its last class
-                residual[rid] = res.capacity_bps
-                live_weight[rid] = total_weight[rid]
-                live_count[rid] = len(classes_at[rid])
-            dirty_classes = self._dirty_classes
-            clean = dirty_classes.isdisjoint
-            dirty_adjacent: set[FlowClass] = set()
-            for rid in dirty_rids:
-                at = classes_at.get(rid)
-                if at:
-                    dirty_adjacent.update(at)
-            # `dirty_best` is a *lower bound* on the smallest (share,
-            # rid) a live dirty resource offers: charges refresh only
-            # the charged resource's share and fold it in with min().
-            # A share that rises past the stored bound leaves the bound
-            # stale-low, which can only end replay early — the cold
-            # continuation then recomputes the same rounds and stays
-            # bit-identical — never replay an invalid round.
-            dirty_best = self._min_dirty_share(
-                dirty_rids, residual, live_weight, live_count)
-            for rid, share, frozen in prev:
-                # A round replays only if (a) its bottleneck's own
-                # aggregates are untouched, (b) every class it froze is
-                # untouched (member counts feed the residual charges),
-                # and (c) no dirty resource would now be popped first.
-                if rid in dirty_rids or not clean(frozen):
-                    break
-                if dirty_best is not None and dirty_best < (share, rid):
-                    break
-                replayed += 1
-                for cls in frozen:
-                    cls.frozen_epoch = epoch
-                    cls.rate = share * cls.weight
-                    unfrozen -= 1
-                    if cls in dirty_adjacent:
-                        n = len(cls.members)
-                        agg_weight = cls.weight * n
-                        agg_rate = cls.rate * n
-                        for rid2, mult in cls.res_mults:
-                            if rid2 in dirty_rids:
-                                value = residual[rid2] - agg_rate * mult
-                                residual[rid2] = value if value > 0.0 else 0.0
-                                value = live_weight[rid2] - agg_weight
-                                live_weight[rid2] = \
-                                    value if value > 0.0 else 0.0
-                                live_count[rid2] -= 1
-                                if live_count[rid2] > 0:
-                                    fresh = residual[rid2] / (
-                                        live_weight[rid2]
-                                        + resources[rid2].background_load)
-                                    key = (fresh, rid2)
-                                    if dirty_best is None or key < dirty_best:
-                                        dirty_best = key
-            if replayed:
-                new_rounds = prev[:replayed]
-                if unfrozen:
-                    # Reconstruct the clean resources the continuation
-                    # can still see (those with a live class).
-                    live_rids: set[int] = set()
-                    for cls in classes.values():
-                        if cls.frozen_epoch != epoch:
-                            for rid2, _mult in cls.res_mults:
-                                live_rids.add(rid2)
-                    recharge = live_rids - dirty_rids
-                    for rid2 in recharge:
-                        res = resources[rid2]
-                        residual[rid2] = res.capacity_bps
-                        live_weight[rid2] = total_weight[rid2]
-                        live_count[rid2] = len(classes_at[rid2])
-                    if recharge:
-                        for _rid, share, frozen in new_rounds:
-                            for cls in frozen:
-                                n = len(cls.members)
-                                agg_weight = cls.weight * n
-                                agg_rate = (share * cls.weight) * n
-                                for rid2, mult in cls.res_mults:
-                                    if rid2 in recharge:
-                                        value = (residual[rid2]
-                                                 - agg_rate * mult)
-                                        residual[rid2] = \
-                                            value if value > 0.0 else 0.0
-                                        value = live_weight[rid2] - agg_weight
-                                        live_weight[rid2] = \
-                                            value if value > 0.0 else 0.0
-                                        live_count[rid2] -= 1
-
-        # -- cold continuation from the first invalidated round ---------
-        if unfrozen:
-            if not replayed:
-                # Clean-slate run (no previous solution, or it was
-                # invalidated outright): build aggregates for every
-                # registered resource.
-                for rid, res in resources.items():
-                    residual[rid] = res.capacity_bps
-                    live_weight[rid] = total_weight[rid]
-                    live_count[rid] = len(classes_at[rid])
-                candidates: Iterable[int] = resources.keys()
-            else:
-                # After a lazy replay only the dirty + reconstructed
-                # live resources hold correct aggregates — exactly the
-                # ones a continuation can still pop. Pop order is
-                # governed by the unique (share, rid) keys, so the
-                # source's iteration order does not affect the outcome.
-                candidates = live_rids
-            heap: list[tuple[float, int]] = []
-            latest: dict[int, float] = {}
-            # replint: allow[DET02] -- heap pop order is fixed by the unique (share, rid) keys; build order is immaterial
-            for rid in candidates:
-                if live_count[rid] == 0:
+            touched: dict[int, None] = {}
+            for cls in classes_at[rid]:
+                if cls.frozen_epoch == epoch:
                     continue
-                share = residual[rid] / (live_weight[rid]
-                                         + resources[rid].background_load)
-                latest[rid] = share
-                heap.append((share, rid))
-            heapq.heapify(heap)
+                cls.frozen_epoch = epoch
+                rate = share * cls.weight
+                cls.rate = rate
+                unfrozen -= 1
+                n = len(cls.members)
+                agg_weight = cls.weight * n
+                agg_rate = rate * n
+                for rid2, mult in cls.res_mults:
+                    value = residual[rid2] - agg_rate * mult
+                    residual[rid2] = value if value > 0.0 else 0.0
+                    value = live_weight[rid2] - agg_weight
+                    live_weight[rid2] = value if value > 0.0 else 0.0
+                    live_count[rid2] -= 1
+                    if rid2 != rid:
+                        touched[rid2] = None
 
-            while unfrozen and heap:
-                share, rid = heapq.heappop(heap)
-                if latest.get(rid) != share or live_count[rid] == 0:
-                    continue  # stale entry or exhausted resource
-                del latest[rid]
-                rounds += 1
+            for rid2 in touched:
+                if live_count[rid2] == 0:
+                    latest.pop(rid2, None)
+                    continue
+                fresh = residual[rid2] / (
+                    live_weight[rid2] + resources[rid2].background_load)
+                latest[rid2] = fresh
+                heapq.heappush(heap, (fresh, rid2))
 
-                frozen_now: list[FlowClass] = []
-                touched: dict[int, None] = {}
-                for cls in classes_at[rid]:
-                    if cls.frozen_epoch == epoch:
-                        continue
-                    cls.frozen_epoch = epoch
-                    rate = share * cls.weight
-                    cls.rate = rate
-                    unfrozen -= 1
-                    frozen_now.append(cls)
-                    n = len(cls.members)
-                    agg_weight = cls.weight * n
-                    agg_rate = rate * n
-                    for rid2, mult in cls.res_mults:
-                        value = residual[rid2] - agg_rate * mult
-                        residual[rid2] = value if value > 0.0 else 0.0
-                        value = live_weight[rid2] - agg_weight
-                        live_weight[rid2] = value if value > 0.0 else 0.0
-                        live_count[rid2] -= 1
-                        if rid2 != rid:
-                            touched[rid2] = None
-                new_rounds.append((rid, share, tuple(frozen_now)))
-
-                for rid2 in touched:
-                    if live_count[rid2] == 0:
-                        latest.pop(rid2, None)
-                        continue
-                    fresh = residual[rid2] / (
-                        live_weight[rid2] + resources[rid2].background_load)
-                    latest[rid2] = fresh
-                    heapq.heappush(heap, (fresh, rid2))
-
-        if self._warm:
-            self._rounds = new_rounds
-            self._dirty_classes.clear()
-            if prev:
-                # Incremental snapshot: only dirty resources can have a
-                # background load the recorded one no longer matches.
-                bg_seen = self._bg_seen
-                for rid in dirty_rids:
-                    res = resources.get(rid)
-                    if res is not None:
-                        bg_seen[rid] = res.background_load
-                if len(bg_seen) > 2 * len(resources) + 16:
-                    # Stale entries for long-gone resources: compact.
-                    self._bg_seen = {rid: res.background_load
-                                     for rid, res in resources.items()}
-            else:
-                self._bg_seen = {rid: res.background_load
-                                 for rid, res in resources.items()}
         if counters is not None:
             counters.reallocations += 1
             counters.waterfill_rounds += rounds
             counters.flows_allocated += self._n_flows
             counters.classes_allocated += len(classes)
-            if replayed:
-                counters.warm_start_hits += 1
-                counters.rounds_replayed += replayed
         return classes.values()
 
 
-def compute_fair_rates_optimized(flows: Iterable[Flow], *,
-                                 counters: Optional[PerfCounters] = None,
-                                 ) -> Mapping[Flow, float]:
-    """One-shot wrapper over :class:`FairShareAllocator` (stateless API
-    parity with the reference engine; the network keeps a persistent
-    allocator instead of paying this per-call build)."""
+def compute_fair_rates(flows: Iterable[Flow], *,
+                       counters: Optional[PerfCounters] = None,
+                       ) -> Mapping[Flow, float]:
+    """Return the weighted max-min fair rate (bytes/s) for each flow.
+
+    One-shot wrapper over :class:`FairShareAllocator`; the network
+    keeps a persistent allocator instead of paying this per-call build.
+    Background load on a resource participates in every round of the
+    water-filling at its weight, so real flows on a busy resource get
+    proportionally less.
+    """
     allocator = FairShareAllocator()
     for flow in flows:
         if flow.is_active:

@@ -36,12 +36,7 @@ import operator
 from typing import Callable, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.simnet.fairshare import (
-    FairShareAllocator,
-    FlowClass,
-    compute_fair_rates_reference,
-    current_engine,
-)
+from repro.simnet.fairshare import FairShareAllocator, FlowClass
 from repro.simnet.flow import Flow, FlowState
 from repro.simnet.kernel import Event, EventKernel
 from repro.simnet.perfcounters import PerfCounters
@@ -211,19 +206,7 @@ class FluidNetwork:
         now = self.kernel.now
         eta_of = self._eta_of
         allocator = self._allocator
-        if current_engine() == "reference":
-            # Oracle path: rates come from the from-scratch loop, but
-            # accounting stays per-class (members of a class share one
-            # (path, weight) signature, so the reference engine gives
-            # them bit-identical rates — any member's rate is the
-            # class rate).
-            rates = compute_fair_rates_reference(self._flows,
-                                                 counters=self.counters)
-            classes: Iterable[FlowClass] = allocator.classes()
-            for cls in classes:
-                cls.rate = rates.get(next(iter(cls.members)), 0.0)
-        else:
-            classes = allocator.allocate(self.counters)
+        classes = allocator.allocate(self.counters)
         touched = self._touched_classes
         changed: list[FlowClass] = []
         for cls in classes:

@@ -41,12 +41,6 @@ class PerfCounters:
             (tracked in the ETA dict; a heap push may or may not follow,
             depending on the stale-heap mode).
         eta_heap_compactions: lazy-deletion heap rebuilds.
-        warm_start_hits: allocations that replayed at least one
-            water-filling round from the previous solution instead of
-            recomputing it.
-        rounds_replayed: water-filling rounds reused across all
-            warm-started allocations (``waterfill_rounds`` counts only
-            the rounds actually recomputed).
         lazy_materializations: per-flow byte-progress materializations
             forced by a class-membership change (completion, abort,
             leave); reads materialize lazily and are not counted.
@@ -61,8 +55,6 @@ class PerfCounters:
     completion_reschedules: int = 0
     eta_refreshes: int = 0
     eta_heap_compactions: int = 0
-    warm_start_hits: int = 0
-    rounds_replayed: int = 0
     lazy_materializations: int = 0
 
     _FIELDS: ClassVar[tuple[str, ...]] = ()  # derived below the class

@@ -1,13 +1,19 @@
-"""Property tests: numpy backend == pure-python fallback, bit for bit.
+"""Property tests: batched reductions == their plain definitions.
 
-Every batched reduction must produce identical doubles under both
-engines — sorting/searching/rank selection are exact, and all scalar
-reductions are fsum-funnelled (exactly rounded, order-free). These
-tests pin that contract over random samples including ties, n=1/2 and
-all-equal inputs, and also check the engine switch itself.
+Every batched reduction must produce exactly the doubles of its
+textbook definition — ``sorted``, ``bisect_right(xs, q) / n``,
+``math.fsum(...) / n`` and list-comprehension grouping — over random
+samples including ties, n=1/2 and all-equal inputs. Sorting, searching
+and rank selection are exact, and every scalar reduction is
+fsum-funnelled (exactly rounded), so results cannot depend on the order
+elements are visited in.
 """
 
 from __future__ import annotations
+
+import bisect
+import math
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +23,6 @@ from repro.analysis import backend
 from repro.analysis.boxstats import BoxStats
 from repro.analysis.ecdf import ECDF
 from repro.analysis.stats import paired_t_test
-from repro.errors import ConfigError
-
-needs_numpy = pytest.mark.skipif(not backend.numpy_available(),
-                                 reason="numpy not installed")
 
 # Finite floats with deliberately coarse granularity so ties and
 # all-equal samples are common; n=1 and n=2 sit at the minimum sizes.
@@ -33,96 +35,86 @@ _samples = st.lists(_value, min_size=1, max_size=300)
 _pairs = st.lists(st.tuples(_value, _value), min_size=2, max_size=200)
 
 
-def _both_engines(fn):
-    with backend.use_engine("python"):
-        fallback = fn()
-    with backend.use_engine("numpy"):
-        vectorized = fn()
-    return fallback, vectorized
+# -- batched operations against plain definitions ---------------------
 
 
-# -- engine switch -----------------------------------------------------
-
-
-def test_engine_switch_round_trips():
-    before = backend.current_engine()
-    with backend.use_engine("python"):
-        assert backend.current_engine() == "python"
-    assert backend.current_engine() == before
-    with pytest.raises(ConfigError):
-        backend.set_engine("fortran")
-
-
-def test_auto_resolves_to_default():
-    with backend.use_engine("auto"):
-        assert backend.current_engine() == backend.default_engine()
-
-
-# -- cross-engine bit-equality ----------------------------------------
-
-
-@needs_numpy
 @given(_samples)
 @settings(max_examples=120, deadline=None)
 def test_sort_values_bit_equal(values):
-    fallback, vectorized = _both_engines(
-        lambda: backend.sort_values(values))
-    assert fallback == vectorized
+    assert backend.sort_values(values) == sorted(values)
 
 
-@needs_numpy
 @given(_samples)
 @settings(max_examples=120, deadline=None)
 def test_ecdf_bit_equal(values):
-    fallback, vectorized = _both_engines(
-        lambda: ECDF.from_values(values))
-    assert fallback == vectorized
-    queries = [min(values) - 1.0, min(values), max(values), 0.0]
-    with backend.use_engine("python"):
-        slow = fallback.evaluate_many(queries)
-    with backend.use_engine("numpy"):
-        fast = vectorized.evaluate_many(queries)
-    assert slow == fast
-    assert slow == [fallback.evaluate(q) for q in queries]
+    ecdf = ECDF.from_values(values)
+    xs = sorted(values)
+    n = len(xs)
+    assert list(ecdf.xs) == xs
+    assert list(ecdf.ps) == [(i + 1) / n for i in range(n)]
+    assert ECDF.from_sorted(xs) == ecdf
+    queries = [min(values) - 1.0, min(values), max(values), 0.0] + values[:20]
+    assert ecdf.evaluate_many(queries) == \
+        [bisect.bisect_right(xs, q) / n for q in queries]
+    assert ecdf.evaluate_many(queries) == [ecdf.evaluate(q) for q in queries]
 
 
-@needs_numpy
 @given(_samples)
 @settings(max_examples=120, deadline=None)
 def test_boxstats_bit_equal(values):
-    fallback, vectorized = _both_engines(
-        lambda: BoxStats.from_values(values))
-    assert fallback == vectorized
+    box = BoxStats.from_values(values)
+    n = len(values)
+    assert box.n == n
+    assert box.mean == math.fsum(values) / n
+    if n % 2:
+        assert box.median == statistics.median(values)
+    lo_fence = box.q1 - 1.5 * box.iqr
+    hi_fence = box.q3 + 1.5 * box.iqr
+    assert box.outliers == len([v for v in values
+                                if v < lo_fence or v > hi_fence])
+    # Order-free: any permutation of the sample gives the same summary.
+    assert BoxStats.from_values(values[::-1]) == box
+    assert BoxStats.from_values(sorted(values)) == box
 
 
-@needs_numpy
 @given(_pairs)
 @settings(max_examples=120, deadline=None)
 def test_paired_t_bit_equal(pairs):
     a = [x for x, _ in pairs]
     b = [y for _, y in pairs]
-    fallback, vectorized = _both_engines(lambda: paired_t_test(a, b))
-    assert fallback == vectorized
+    n = len(pairs)
+    result = paired_t_test(a, b)
+    diffs = [x - y for x, y in pairs]
+    mean_diff = math.fsum(diffs) / n
+    assert result.n == n and result.df == n - 1
+    assert result.mean_a == math.fsum(a) / n
+    assert result.mean_b == math.fsum(b) / n
+    assert result.mean_diff == mean_diff
+    assert result.sd_diff == math.sqrt(
+        math.fsum((d - mean_diff) * (d - mean_diff) for d in diffs) / (n - 1))
+    # Order-free: reversing the pairs gives the identical test.
+    assert paired_t_test(a[::-1], b[::-1]) == result
 
 
-@needs_numpy
 @given(st.lists(st.tuples(st.integers(min_value=-1, max_value=6), _value),
                 min_size=0, max_size=200))
 @settings(max_examples=120, deadline=None)
 def test_grouping_bit_equal(rows):
     codes = [c for c, _ in rows]
     values = [v for _, v in rows]
-    fallback, vectorized = _both_engines(
-        lambda: (backend.group_flat(codes, values, 7),
-                 backend.group_values(codes, values, 7),
-                 backend.group_means(codes, values, 7),
-                 backend.group_counts(codes, 7)))
-    assert fallback == vectorized
-    # Within-group record order is preserved in both engines.
-    flat, starts = fallback[0]
-    for g in range(7):
-        expected = [v for c, v in rows if c == g]
-        assert flat[starts[g]:starts[g + 1]] == expected
+    groups = [[v for c, v in rows if c == g] for g in range(7)]
+    flat, starts = backend.group_flat(codes, values, 7)
+    # Groups in code order, record order preserved within a group.
+    assert [flat[starts[g]:starts[g + 1]] for g in range(7)] == groups
+    assert flat == [v for group in groups for v in group]
+    assert backend.group_values(codes, values, 7) == groups
+    sorted_flat, sorted_starts = backend.group_sorted_flat(codes, values, 7)
+    assert sorted_starts == starts
+    assert sorted_flat == [v for group in groups for v in sorted(group)]
+    assert backend.group_means(codes, values, 7) == \
+        [math.fsum(group) / len(group) if group else None
+         for group in groups]
+    assert backend.group_counts(codes, 7) == [len(group) for group in groups]
 
 
 # -- shared scalar kernels --------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.analysis.stats import paired_t_test, summary
 from repro.simnet.rng import substream
 
-try:  # scipy is a test-only dependency; the no-numpy CI leg lacks it.
+try:  # scipy is an optional, test-only oracle.
     from scipy import stats as sps
 except ImportError:
     sps = None

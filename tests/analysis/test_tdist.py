@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.tdist import incomplete_beta, t_ppf, t_sf, t_two_sided_p
 
-try:  # scipy is a test-only dependency; the no-numpy CI leg lacks it.
+try:  # scipy is an optional, test-only oracle.
     from scipy import stats as sps
 except ImportError:
     sps = None

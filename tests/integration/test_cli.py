@@ -46,27 +46,13 @@ def test_run_rejects_bad_workers(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
-def test_run_with_explicit_analysis_engine(capsys):
-    from repro.analysis import backend
-
-    try:
-        assert main(["run", "table2", "--scale", "tiny",
-                     "--analysis-engine", "python"]) == 0
-        assert "paper vs measured" in capsys.readouterr().out
-        # The explicit selection persists for the process.
-        assert backend.current_engine() == "python"
-    finally:
-        backend.set_engine("auto")
-
-
-def test_run_engine_matches_auto(capsys):
-    """fig10a output is identical across engines (bit-equal backends)."""
-    assert main(["run", "fig10a", "--scale", "tiny",
-                 "--analysis-engine", "python"]) == 0
-    python_out = capsys.readouterr().out
-    assert main(["run", "fig10a", "--scale", "tiny",
-                 "--analysis-engine", "auto"]) == 0
-    assert capsys.readouterr().out == python_out
+def test_run_rejects_analysis_engine_flag(capsys):
+    """There is one analysis engine; the old selector flag is gone."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "table2", "--scale", "tiny",
+              "--analysis-engine", "python"])
+    assert exc.value.code == 2
+    assert "--analysis-engine" in capsys.readouterr().err
 
 
 def test_compare_command(capsys):

@@ -115,8 +115,6 @@ def test_experiment_mode_units_report_perf_counters():
         assert result.perf, "experiment units must ship perf counters"
         assert result.perf["reallocations"] > 0
         assert result.perf["worlds"] >= 1.0
-        for key in ("warm_start_hits", "rounds_replayed",
-                    "lazy_materializations"):
-            assert key in result.perf
+        assert "lazy_materializations" in result.perf
     direct = run_experiment("fig2a", seed=3, scale=Scale.tiny())
     assert replicated[0].perf == direct.perf

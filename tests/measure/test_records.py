@@ -1,5 +1,7 @@
 """Unit tests for measurement records and result sets."""
 
+import math
+
 import pytest
 
 from repro.measure.records import MeasurementRecord, Method, ResultSet, TargetKind
@@ -195,29 +197,32 @@ def test_retained_columnstore_is_a_snapshot():
     assert rs.values_by("ttfb_s").group("tor") == [0.5, 1.5]
 
 
-def test_columnar_extraction_engine_equivalence():
-    """ResultSet reductions are bit-identical across backend engines."""
-    from repro.analysis import backend
-
-    if not backend.numpy_available():
-        pytest.skip("numpy not installed")
+def test_columnar_reductions_match_plain_definitions():
+    """Batched ResultSet reductions equal per-group list comprehensions."""
     rs = ResultSet()
     for i in range(60):
         rs.append(rec(pt=f"pt{i % 4}", target=f"t{i % 7}",
                       duration=1.0 + (i * 7919 % 13) / 3.0,
                       ttfb=None if i % 5 == 0 else 0.1 * i,
                       method=Method.CURL if i % 2 else Method.SELENIUM))
-    with backend.use_engine("python"):
-        table_py = rs.per_target_mean_table("duration_s", Method.CURL)
-        grouped_py = rs.values_by("ttfb_s", method=Method.CURL)
-        status_py = rs.columns().status_fractions_by_pt()
-    with backend.use_engine("numpy"):
-        table_np = rs.per_target_mean_table("duration_s", Method.CURL)
-        grouped_np = rs.values_by("ttfb_s", method=Method.CURL)
-        status_np = rs.columns().status_fractions_by_pt()
-    assert table_py == table_np
-    assert grouped_py == grouped_np
-    assert status_py == status_np
+    records = rs.records
+    curl = [r for r in records if r.method is Method.CURL]
+    table = rs.per_target_mean_table("duration_s", Method.CURL)
+    for pt in rs.pts():
+        for target in rs.targets():
+            durations = [r.duration_s for r in curl
+                         if r.pt == pt and r.target == target]
+            if durations:
+                assert table[pt][target] == \
+                    math.fsum(durations) / len(durations)
+            else:
+                assert target not in table.get(pt, {})
+    grouped = rs.values_by("ttfb_s", method=Method.CURL)
+    for pt, values in grouped.items():
+        assert values == [r.ttfb_s for r in curl
+                          if r.pt == pt and r.ttfb_s is not None]
+    assert rs.columns().status_fractions_by_pt() == {
+        pt: rs.filter(pt=pt).status_fractions() for pt in rs.pts()}
 
 
 # ---------------------------------------------------------------------------

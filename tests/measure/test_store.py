@@ -5,8 +5,7 @@ reduction the :class:`~repro.measure.store.ShardedResultStore` serves
 must be *bit-identical* to the same reduction over an in-memory
 :class:`~repro.measure.records.ResultSet` holding the same records —
 for any chunk size (including the degenerate 1 and len+1 boundaries),
-for either analysis engine, with ties, None-valued optional fields, and
-n=0/1 groups.
+with ties, None-valued optional fields, and n=0/1 groups.
 """
 
 import math
@@ -25,9 +24,6 @@ from repro.measure.records import (
 )
 from repro.measure.store import ChunkedColumnStore, ShardedResultStore
 from repro.web.types import Status
-
-_ENGINES = ["python"] + (["numpy"] if backend.numpy_available() else [])
-
 
 def rec(pt="tor", target="site0", duration=1.0, status=Status.COMPLETE,
         method=Method.CURL, ttfb=0.5, category="baseline",
@@ -145,43 +141,26 @@ def _mixed_records():
     return out
 
 
-@pytest.mark.parametrize("engine", _ENGINES)
 @pytest.mark.parametrize("chunk_size", [1, 7, 24, 33, 34, 1000])
-def test_streaming_matches_in_memory(tmp_path, engine, chunk_size):
+def test_streaming_matches_in_memory(tmp_path, chunk_size):
     records = _mixed_records()
     # chunk boundaries at 1 and len+1 are in the parametrize list
     # (len(records) == 33).
     assert len(records) == 33
     rs = ResultSet(records)
     store = store_of(tmp_path, records, chunk_size)
-    with backend.use_engine(engine):
-        assert_reductions_identical(store, rs)
+    assert_reductions_identical(store, rs)
 
 
-@pytest.mark.parametrize("engine", _ENGINES)
-def test_empty_store_matches_empty_result_set(tmp_path, engine):
+def test_empty_store_matches_empty_result_set(tmp_path):
     store = ShardedResultStore(tmp_path / "s", chunk_size=4)
     rs = ResultSet()
-    with backend.use_engine(engine):
-        assert store.values_by("duration_s") == rs.values_by("duration_s")
-        assert store.values_by("duration_s", by="method") == \
-            rs.values_by("duration_s", by="method")
-        assert store.per_target_mean_table() == rs.per_target_mean_table()
-        assert store.status_fractions_by_pt() == rs.status_fractions_by_pt()
-        assert store.pts() == [] and not store
-
-
-def test_engines_agree_on_chunked_reductions(tmp_path):
-    if not backend.numpy_available():
-        pytest.skip("numpy engine unavailable")
-    records = _mixed_records()
-    store = store_of(tmp_path, records, chunk_size=5)
-    with backend.use_engine("numpy"):
-        numpy_table = store.per_target_mean_table("duration_s")
-        numpy_grouped = store.values_by("duration_s", sort=True)
-    with backend.use_engine("python"):
-        assert store.per_target_mean_table("duration_s") == numpy_table
-        assert store.values_by("duration_s", sort=True) == numpy_grouped
+    assert store.values_by("duration_s") == rs.values_by("duration_s")
+    assert store.values_by("duration_s", by="method") == \
+        rs.values_by("duration_s", by="method")
+    assert store.per_target_mean_table() == rs.per_target_mean_table()
+    assert store.status_fractions_by_pt() == rs.status_fractions_by_pt()
+    assert store.pts() == [] and not store
 
 
 def test_pt_categories_strict_raises_across_shards(tmp_path):
@@ -232,18 +211,14 @@ def test_streaming_reductions_bit_identical_property(
     rs = ResultSet(records)
     tmp = tmp_path_factory.mktemp("store")
     store = store_of(tmp, records, chunk_size)
-    for engine in _ENGINES:
-        with backend.use_engine(engine):
-            assert store.per_target_mean_table("duration_s") == \
-                rs.per_target_mean_table("duration_s")
-            assert store.values_by("duration_s", sort=True) == \
-                rs.values_by("duration_s", sort=True)
-            assert store.values_by("ttfb_s", by="target",
-                                   method=Method.CURL) == \
-                rs.values_by("ttfb_s", by="target", method=Method.CURL)
-            if records:
-                assert store.status_fractions_by_pt() == \
-                    rs.status_fractions_by_pt()
+    assert store.per_target_mean_table("duration_s") == \
+        rs.per_target_mean_table("duration_s")
+    assert store.values_by("duration_s", sort=True) == \
+        rs.values_by("duration_s", sort=True)
+    assert store.values_by("ttfb_s", by="target", method=Method.CURL) == \
+        rs.values_by("ttfb_s", by="target", method=Method.CURL)
+    if records:
+        assert store.status_fractions_by_pt() == rs.status_fractions_by_pt()
     assert list(store.iter_records()) == records
 
 

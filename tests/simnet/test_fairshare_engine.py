@@ -1,8 +1,9 @@
 """Equivalence and invariant tests for the incremental fair-share engine.
 
-The optimized engine (flow-class collapsing + incremental aggregates +
-share-ordered heap) must produce the same rate vector as the reference
-water-filling loop, up to float round-off, on any flow population.
+The production engine behind :func:`compute_fair_rates` (flow-class
+collapsing + incremental aggregates + share-ordered heap) must produce
+the same rate vector as the reference water-filling loop, up to float
+round-off, on any flow population.
 """
 
 import random
@@ -11,14 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
 from repro.simnet.fairshare import (
     compute_fair_rates,
-    compute_fair_rates_optimized,
     compute_fair_rates_reference,
-    current_engine,
-    set_engine,
-    use_engine,
 )
 from repro.simnet.flow import Flow
 from repro.simnet.perfcounters import PerfCounters
@@ -64,7 +60,7 @@ def test_engines_agree_on_randomized_collapsible_flow_sets(seed):
         rng, n_res=rng.randint(1, 8), n_flows=rng.randint(1, 60),
         n_signatures=rng.randint(1, 6))
     reference = compute_fair_rates_reference(flows)
-    optimized = compute_fair_rates_optimized(flows)
+    optimized = compute_fair_rates(flows)
     assert_rate_vectors_match(flows, reference, optimized)
 
 
@@ -75,7 +71,7 @@ def test_engines_agree_when_every_flow_is_unique(seed):
     resources, flows = random_scenario(
         rng, n_res=rng.randint(2, 6), n_flows=20, n_signatures=40)
     reference = compute_fair_rates_reference(flows)
-    optimized = compute_fair_rates_optimized(flows)
+    optimized = compute_fair_rates(flows)
     assert_rate_vectors_match(flows, reference, optimized)
 
 
@@ -105,7 +101,7 @@ def flow_scenarios(draw):
 def test_property_engines_equivalent(scenario):
     _, flows = scenario
     reference = compute_fair_rates_reference(flows)
-    optimized = compute_fair_rates_optimized(flows)
+    optimized = compute_fair_rates(flows)
     assert_rate_vectors_match(flows, reference, optimized)
 
 
@@ -113,7 +109,7 @@ def test_property_engines_equivalent(scenario):
 @settings(max_examples=120, deadline=None)
 def test_property_no_resource_oversubscribed_optimized(scenario):
     resources, flows = scenario
-    rates = compute_fair_rates_optimized(flows)
+    rates = compute_fair_rates(flows)
     for res in resources:
         used = sum(rate for flow, rate in rates.items() if res in flow.path)
         assert used <= res.capacity_bps * (1 + 1e-9) + 1e-6
@@ -125,7 +121,7 @@ def test_property_work_conserving_at_bottleneck_optimized(scenario):
     """Every flow is frozen at some saturated resource: it could not go
     faster without taking capacity from an equal-or-slower competitor."""
     resources, flows = scenario
-    rates = compute_fair_rates_optimized(flows)
+    rates = compute_fair_rates(flows)
     leftover = {}
     for res in resources:
         used = sum(rate for flow, rate in rates.items() if res in flow.path)
@@ -141,7 +137,7 @@ def test_property_work_conserving_at_bottleneck_optimized(scenario):
 def test_identical_signature_flows_get_identical_rates():
     r1, r2 = Resource("a", 1000.0), Resource("b", 5000.0)
     flows = [Flow((r1, r2), 1e6, weight=2.0) for _ in range(50)]
-    rates = compute_fair_rates_optimized(flows)
+    rates = compute_fair_rates(flows)
     values = set(rates.values())
     assert len(values) == 1
     assert values.pop() == pytest.approx(1000.0 / 50)
@@ -153,7 +149,7 @@ def test_duplicate_resource_in_path_charged_per_occurrence():
     f1 = Flow((r, r), 1e6)
     f2 = Flow((r,), 1e6)
     reference = compute_fair_rates_reference([f1, f2])
-    optimized = compute_fair_rates_optimized([f1, f2])
+    optimized = compute_fair_rates([f1, f2])
     assert_rate_vectors_match([f1, f2], reference, optimized)
 
 
@@ -161,7 +157,7 @@ def test_counters_report_collapsing():
     r = Resource("r", 1000.0)
     flows = [Flow((r,), 1e6) for _ in range(40)]
     counters = PerfCounters()
-    compute_fair_rates_optimized(flows, counters=counters)
+    compute_fair_rates(flows, counters=counters)
     assert counters.reallocations == 1
     assert counters.flows_allocated == 40
     assert counters.classes_allocated == 1
@@ -169,24 +165,12 @@ def test_counters_report_collapsing():
     assert counters.waterfill_rounds == 1
 
 
-def test_engine_switch_roundtrip():
-    assert current_engine() == "optimized"
-    with use_engine("reference"):
-        assert current_engine() == "reference"
-        r = Resource("r", 100.0)
-        f = Flow((r,), 10.0)
-        assert compute_fair_rates([f])[f] == pytest.approx(100.0)
-    assert current_engine() == "optimized"
-    with pytest.raises(ConfigError):
-        set_engine("no-such-engine")
-
-
 def test_empty_and_inactive_inputs():
-    assert compute_fair_rates_optimized([]) == {}
+    assert compute_fair_rates([]) == {}
     r = Resource("r", 100.0)
     f1, f2 = Flow((r,), 10.0), Flow((r,), 10.0)
     from repro.simnet.flow import FlowState
     f2.state = FlowState.COMPLETED
-    rates = compute_fair_rates_optimized([f1, f2])
+    rates = compute_fair_rates([f1, f2])
     assert set(rates) == {f1}
     assert rates[f1] == pytest.approx(100.0)

@@ -1,24 +1,20 @@
-"""Warm-start and per-class progress-accounting equivalence under churn.
+"""Allocator and per-class progress accounting under churn.
 
-The warm-started :class:`FairShareAllocator` must be *bit-identical* to
-a cold allocator (``warm_start=False``) on any join/leave/load-change
-sequence: replay re-applies the recorded rounds' arithmetic in the
-recorded order, so there is no float divergence to tolerate.
-
-Against :func:`compute_fair_rates_reference` the guarantee is
-rate-vector equality up to round-off in general, and *exact* equality on
-star topologies with single-flow classes and dyadic weights: there every
-per-resource weight sum is float-exact and every residual receives at
-most one charge per round, so both engines execute the same operations
-on the same operands (this is the campaign shape — one access link per
-circuit, a shared bridge/backbone).
+Against :func:`compute_fair_rates_reference` the production
+:class:`FairShareAllocator` guarantees rate-vector equality up to
+round-off in general, and *exact* equality on star topologies with
+single-flow classes and dyadic weights: there every per-resource weight
+sum is float-exact and every residual receives at most one charge per
+round, so both execute the same operations on the same operands (this
+is the campaign shape — one access link per circuit, a shared
+bridge/backbone). One allocator lives through each whole churn script,
+so its incrementally maintained aggregates are exercised too.
 
 Network-level: per-flow ``bytes_done`` is materialized lazily from the
-class service accumulators; both engines share that algebra, so with
-equal rate vectors the materialized byte counts are bit-identical too.
+class service accumulators; the production allocator and the reference
+stand-in share that algebra, so with equal rate vectors the
+materialized byte counts are bit-identical too.
 """
-
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +23,6 @@ from hypothesis import strategies as st
 from repro.simnet.fairshare import (
     FairShareAllocator,
     compute_fair_rates_reference,
-    use_engine,
 )
 from repro.simnet.flow import Flow
 from repro.simnet.kernel import EventKernel
@@ -46,16 +41,7 @@ def _rates_by_key(alloc: FairShareAllocator) -> dict:
     return {cls.key: cls.rate for cls in alloc.classes()}
 
 
-def _allocate_pair(warm: FairShareAllocator, cold: FairShareAllocator):
-    warm.allocate()
-    cold.allocate()
-    warm_rates = _rates_by_key(warm)
-    cold_rates = _rates_by_key(cold)
-    assert warm_rates == cold_rates  # bit-identical, not approx
-    return warm_rates
-
-
-# -- hypothesis: generic topologies, warm == cold -----------------------
+# -- hypothesis: generic topologies, allocator ~ reference --------------
 
 
 @st.composite
@@ -90,42 +76,39 @@ def churn_scripts(draw):
 
 @given(churn_scripts())
 @settings(max_examples=120, deadline=None)
-def test_property_warm_start_bit_identical_to_cold_under_churn(script):
+def test_property_churn_matches_reference(script):
     caps, sig_specs, ops = script
     resources = [Resource(f"r{i}", cap) for i, cap in enumerate(caps)]
     signatures = [(tuple(resources[i] for i in idx), weight)
                   for idx, weight in sig_specs]
-    warm = FairShareAllocator(warm_start=True)
-    cold = FairShareAllocator(warm_start=False)
+    alloc = FairShareAllocator()
     live: list[Flow] = []
     for op in ops:
         if op[0] == "join":
             path, weight = signatures[op[1]]
             flow = Flow(path, 1e6, weight=weight)
             live.append(flow)
-            warm.add_flow(flow)
-            cold.add_flow(flow)
+            alloc.add_flow(flow)
         elif op[0] == "leave":
             if not live:
                 continue
-            flow = live.pop(op[1] % len(live))
-            warm.remove_flow(flow)
-            cold.remove_flow(flow)
+            alloc.remove_flow(live.pop(op[1] % len(live)))
         else:
             resources[op[1]].background_load = op[2]
         if not live:
             continue
-        warm_rates = _allocate_pair(warm, cold)
+        alloc.allocate()
+        rates = _rates_by_key(alloc)
         # The reference loop may accumulate sums in a different order:
         # equality holds only up to round-off here.
         reference = compute_fair_rates_reference(live)
         for flow in live:
-            key = warm.class_of(flow).key
-            assert warm_rates[key] == pytest.approx(
+            key = alloc.class_of(flow).key
+            assert rates[key] == pytest.approx(
                 reference[flow], rel=1e-9, abs=1e-12)
 
 
-# -- hypothesis: star topology, warm == cold == reference (bitwise) -----
+# -- hypothesis: star topology, allocator == reference (bitwise) --------
 
 
 @st.composite
@@ -159,8 +142,7 @@ def test_property_star_single_flow_classes_bitwise_equal_reference(script):
     caps, weights, ops = script
     backbone = Resource("backbone", 1e9)
     links = [Resource(f"l{i}", float(cap)) for i, cap in enumerate(caps)]
-    warm = FairShareAllocator(warm_start=True)
-    cold = FairShareAllocator(warm_start=False)
+    alloc = FairShareAllocator()
     live: dict[int, Flow] = {}
     for op in ops:
         if op[0] == "join":
@@ -169,115 +151,97 @@ def test_property_star_single_flow_classes_bitwise_equal_reference(script):
                 continue
             flow = Flow((links[i], backbone), 1e6, weight=weights[i])
             live[i] = flow
-            warm.add_flow(flow)
-            cold.add_flow(flow)
+            alloc.add_flow(flow)
         elif op[0] == "leave":
             if not live:
                 continue
             i = sorted(live)[op[1] % len(live)]
-            flow = live.pop(i)
-            warm.remove_flow(flow)
-            cold.remove_flow(flow)
+            alloc.remove_flow(live.pop(i))
         else:
             backbone.background_load = op[1]
         if not live:
             continue
-        warm_rates = _allocate_pair(warm, cold)
+        alloc.allocate()
+        rates = _rates_by_key(alloc)
         reference = compute_fair_rates_reference(list(live.values()))
         for flow in live.values():
-            key = warm.class_of(flow).key
-            assert warm_rates[key] == reference[flow]  # bit-identical
+            key = alloc.class_of(flow).key
+            assert rates[key] == reference[flow]  # bit-identical
 
 
 # -- handcrafted edges --------------------------------------------------
 
 
-def test_warm_start_replays_past_zero_rate_stall():
-    """A resource drained to residual 0.0 yields an exact 0.0 share; the
-    stalled round must replay bit-identically when churn elsewhere keeps
-    it valid."""
+def test_zero_rate_stall_matches_reference():
+    """A resource drained to residual 0.0 yields an exact 0.0 share,
+    and the stall survives churn on a disjoint resource."""
     r1 = Resource("r1", 10.0)
     r2 = Resource("r2", 6.25)
     r3 = Resource("r3", 1e6)
     heavy = Flow((r1, r1, r2), 1e6, weight=4.0)  # charges r1 twice
     light = Flow((r2,), 1e6)
     stalled = Flow((r1,), 1e6)
-    warm = FairShareAllocator(warm_start=True)
-    cold = FairShareAllocator(warm_start=False)
+    alloc = FairShareAllocator()
     for flow in (heavy, light, stalled):
-        warm.add_flow(flow)
-        cold.add_flow(flow)
-    rates = _allocate_pair(warm, cold)
+        alloc.add_flow(flow)
+    alloc.allocate()
     # r2 freezes first (share 1.25); heavy's double charge drains r1 to
     # exactly 0.0, stalling the remaining flow at rate 0.0.
-    assert rates[warm.class_of(heavy).key] == 5.0
-    assert rates[warm.class_of(stalled).key] == 0.0
-    # Churn on a disjoint resource: the stalled rounds replay.
-    counters = PerfCounters()
+    assert alloc.class_of(heavy).rate == 5.0
+    assert alloc.class_of(stalled).rate == 0.0
     extra = Flow((r3,), 1e6)
-    warm.add_flow(extra)
-    cold.add_flow(extra)
-    warm.allocate(counters)
-    cold.allocate()
-    assert _rates_by_key(warm) == _rates_by_key(cold)
-    assert warm.class_of(stalled).rate == 0.0
-    assert counters.warm_start_hits == 1
-    assert counters.rounds_replayed >= 2
+    alloc.add_flow(extra)
+    alloc.allocate()
+    reference = compute_fair_rates_reference([heavy, light, stalled, extra])
+    for flow in (heavy, light, stalled, extra):
+        assert alloc.class_of(flow).rate == reference[flow]
+    assert alloc.class_of(stalled).rate == 0.0
 
 
-def test_full_hit_skips_every_round():
-    """An unchanged population replays the entire previous solution."""
-    backbone = Resource("bb", 1e6)
-    links = [Resource(f"l{i}", 1000.0 + i) for i in range(5)]
-    alloc = FairShareAllocator(warm_start=True)
-    for link in links:
-        alloc.add_flow(Flow((link, backbone), 1e6))
-    counters = PerfCounters()
-    alloc.allocate(counters)
-    first = _rates_by_key(alloc)
-    cold_rounds = counters.waterfill_rounds
-    assert cold_rounds >= 5
-    alloc.allocate(counters)
-    assert _rates_by_key(alloc) == first
-    assert counters.warm_start_hits == 1
-    assert counters.rounds_replayed == cold_rounds
-    assert counters.waterfill_rounds == cold_rounds  # no new rounds run
+# -- network level: reference stand-in and materialized bytes ----------
 
 
-# -- network level: engines and materialized bytes ----------------------
-
-
-def _churn_trace(engine: str) -> list[tuple]:
+def _churn_trace() -> tuple[list[tuple], PerfCounters]:
     """Start/abort/complete churn on a star; returns per-flow facts."""
-    with use_engine(engine):
-        kernel = EventKernel()
-        counters = PerfCounters()
-        net = FluidNetwork(kernel, counters=counters)
-        rng = substream(42, "warmstart", "trace")
-        backbone = Resource("backbone", 5e5)
-        links = [Resource(f"link{i}", 1e4 * (i + 1)) for i in range(6)]
-        record: list[tuple] = []
-        flows: list[Flow] = []
-        for wave in range(12):
-            for i in range(6):
-                flow = net.start_flow((links[i], backbone),
-                                      rng.uniform(1e4, 2e5))
-                flows.append(flow)
-            kernel.run(until=kernel.now + rng.uniform(0.5, 2.0))
-            victims = [f for f in flows if f.is_active][::3]
-            for victim in victims:
-                net.abort_flow(victim)  # forces materialization mid-flight
-        kernel.run()
-        for index, flow in enumerate(flows):
-            record.append((index, flow.state.value, flow.bytes_done,
-                           flow.remaining, flow.started_at,
-                           flow.finished_at))
-        return record, counters
+    kernel = EventKernel()
+    counters = PerfCounters()
+    net = FluidNetwork(kernel, counters=counters)
+    rng = substream(42, "warmstart", "trace")
+    backbone = Resource("backbone", 5e5)
+    links = [Resource(f"link{i}", 1e4 * (i + 1)) for i in range(6)]
+    record: list[tuple] = []
+    flows: list[Flow] = []
+    for wave in range(12):
+        for i in range(6):
+            flow = net.start_flow((links[i], backbone),
+                                  rng.uniform(1e4, 2e5))
+            flows.append(flow)
+        kernel.run(until=kernel.now + rng.uniform(0.5, 2.0))
+        victims = [f for f in flows if f.is_active][::3]
+        for victim in victims:
+            net.abort_flow(victim)  # forces materialization mid-flight
+    kernel.run()
+    for index, flow in enumerate(flows):
+        record.append((index, flow.state.value, flow.bytes_done,
+                       flow.remaining, flow.started_at, flow.finished_at))
+    return record, counters
 
 
-def test_network_churn_bit_identical_across_engines():
-    reference, _ = _churn_trace("reference")
-    optimized, counters = _churn_trace("optimized")
+@pytest.fixture(scope="module")
+def production_trace():
+    """The production allocator's trace. Module scope runs this before
+    any function-scoped fixture patches the allocator."""
+    return _churn_trace()
+
+
+def test_network_churn_bit_identical_across_engines(production_trace,
+                                                    reference_allocator):
+    reference, reference_counters = _churn_trace()
+    # The reference loop solves per flow: no class collapsing.
+    assert reference_counters.classes_allocated == \
+        reference_counters.flows_allocated
+    optimized, counters = production_trace
+    assert counters.classes_allocated < counters.flows_allocated
     assert optimized == reference  # bytes_done/timestamps bit-identical
     assert counters.lazy_materializations > 0
 
@@ -297,11 +261,3 @@ def test_abort_materializes_partial_bytes_from_class_service():
     assert b.state.value == "completed"
     assert b.bytes_done == pytest.approx(1000.0)
     assert b.remaining == 0.0
-
-
-def test_perf_summary_exposes_warm_start_counters():
-    counters = PerfCounters()
-    snapshot = counters.snapshot()
-    for key in ("warm_start_hits", "rounds_replayed",
-                "lazy_materializations"):
-        assert key in snapshot
