@@ -9,11 +9,6 @@ from repro.simnet.fairshare import (
     FlowClass,
     compute_fair_rates_reference,
 )
-from repro.simnet.flow import Flow
-
-
-def _fid(flow: Flow) -> int:
-    return flow.fid
 
 
 def _reference_allocate(self: FairShareAllocator, counters=None,
@@ -29,7 +24,7 @@ def _reference_allocate(self: FairShareAllocator, counters=None,
         counters = self.counters
     classes = list(self.classes())
     members = sorted((flow for cls in classes for flow in cls.members),
-                     key=_fid)
+                     key=lambda flow: flow.fid)
     rates = compute_fair_rates_reference(members, counters=counters)
     for cls in classes:
         cls.rate = rates[next(iter(cls.members))]
