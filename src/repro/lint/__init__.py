@@ -13,27 +13,24 @@ Per-file rules (see :mod:`repro.lint.rules` and
 ``docs/static-analysis.md``): DET01 ambient clock/randomness, DET02
 unordered set iteration, NUM01 bare float accumulation, IO01 raw
 writable ``open``, MP01 fork-unsafe module state, EXC01 swallowed
-``KeyboardInterrupt`` in supervisor zones, ASY01 blocking calls
-inside ``async def``, SUP01 malformed suppressions. Whole-program
-rules, built on the project call graph
-(:mod:`repro.lint.callgraph`): DET03 transitive ambient-source reach,
-DET04 unordered iteration escaping through return values
-(:mod:`repro.lint.taint`), ATOM01 rename without a dominating fsync,
-RES01 leaked writable handles (:mod:`repro.lint.protocol`), and the
-concurrency layer (:mod:`repro.lint.concurrency`): MP02 pickle-safety
-at process boundaries, MP03 fork hygiene (reset-dominated child
-state), RES02 Process/Connection lifecycle automata, SIG01
-signal-path safety; and the units layer (:mod:`repro.lint.units`):
-UNIT01 mixed-dimension arithmetic, UNIT02 dimension mismatches across
-call boundaries, UNIT03 bare magic-number conversions — an
-interprocedural dimensional analysis over the ``_s``/``_ms``/
-``_bytes``/``_bps`` suffix conventions and the :mod:`repro.units`
-helpers. Zone
-policy comes from ``[tool.replint]`` in ``pyproject.toml``
-(:mod:`repro.lint.policy`); per-line escapes are
+``KeyboardInterrupt`` in supervisor zones, UNIT03 bare conversion
+literals on unit-suffixed names, SUP01 malformed suppressions.
+Whole-program rules, built on the project call graph
+(:mod:`repro.lint.callgraph`): DET03 transitive ambient-source reach
+and DET04 unordered iteration escaping through return values
+(:mod:`repro.lint.taint`). Each rule's zones are fixed on the rule;
+``[tool.replint]`` in ``pyproject.toml`` names only the default paths
+(:mod:`repro.lint.policy`). Per-line escapes are
 ``# replint: allow[RULE] -- justification``
-(:mod:`repro.lint.suppress`); repeat runs are incremental through
-``.replint-cache.json`` (:mod:`repro.lint.cache`).
+(:mod:`repro.lint.suppress`). Every run is a full run; ``--changed``
+only narrows the report, and ``--format`` picks text, json, GitHub
+annotations or SARIF.
+
+Process lifecycle, durability and pickle-safety are checked at run
+time instead, by tier-1 tests that count open fds and live children
+around every supervisor fault kind, record the fsync/``os.replace``
+order of both shard publishers, and run a faulted campaign under the
+``spawn`` start method.
 
 The checker is stdlib-only (``ast`` + ``tomllib``) so the CI lint gate
 needs no third-party installs.

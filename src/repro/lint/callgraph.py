@@ -2,11 +2,10 @@
 
 The per-file rules in :mod:`repro.lint.rules` see one module at a
 time, so a violation hidden one call away — a helper that reads
-``time.time()`` three frames below a simnet entry point, a writer that
-renames before it fsyncs via an intermediate function — sails straight
+``time.time()`` three frames below a simnet entry point, a helper that
+returns a set to a zone function that iterates it — sails straight
 past them. This module gives the interprocedural rules
-(:mod:`repro.lint.taint`, :mod:`repro.lint.protocol`) the structure
-they need:
+(:mod:`repro.lint.taint`) the structure they need:
 
 * a **symbol table** per module: ``import``/``from``-import bindings
   with alias tracking, top-level functions, classes with their methods
@@ -21,9 +20,7 @@ they need:
   dispatch the resolver cannot type: calls of locals, methods on
   unknown objects). Unresolved calls are counted per function and
   globally (``--stats``), never guessed at — the conservative
-  direction for every rule built on top;
-* **import edges** between project modules, the transitive-invalidation
-  relation the incremental cache (:mod:`repro.lint.cache`) uses.
+  direction for every rule built on top.
 
 Method calls resolve through ``self``/``cls``, through locals whose
 class is statically known (``x: Foo``, ``x = Foo(...)``, parameter
@@ -120,8 +117,6 @@ class ModuleInfo:
     aliases: dict[str, str] = field(default_factory=dict)
     #: ``from m import *`` targets, in order.
     star_imports: tuple[str, ...] = ()
-    #: Project modules this module references (cache invalidation edges).
-    imported_modules: set[str] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,6 @@ class CallGraphStats:
     resolved_calls: int
     external_calls: int
     unresolved_calls: int
-    import_edges: int
 
     def format(self) -> str:
         return (f"callgraph: {self.modules} modules, "
@@ -143,8 +137,7 @@ class CallGraphStats:
                 f"{self.call_sites} call sites "
                 f"({self.resolved_calls} resolved, "
                 f"{self.external_calls} external, "
-                f"{self.unresolved_calls} unresolved), "
-                f"{self.import_edges} import edges")
+                f"{self.unresolved_calls} unresolved)")
 
 
 def _dotted(node: ast.expr) -> Optional[str]:
@@ -166,22 +159,16 @@ class CallGraph:
         #: module name -> file path (display/suppression lookup).
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self._calls_collected = False
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def build(cls, modules: Sequence[tuple[str, Path, ast.Module]], *,
-              collect_calls: bool = True) -> "CallGraph":
+    def build(cls, modules: Sequence[tuple[str, Path, ast.Module]],
+              ) -> "CallGraph":
         """Build the graph from ``(module_name, path, parsed_tree)``.
 
         Duplicate module names keep the first occurrence (the walk
         order is deterministic, so so is the graph).
-
-        ``collect_calls=False`` builds only the symbol tables and
-        import edges — enough for the incremental cache's dependency
-        digests; call :meth:`complete_calls` later if the per-call-site
-        classification turns out to be needed after all.
         """
         graph = cls()
         for name, path, tree in modules:
@@ -194,18 +181,8 @@ class CallGraph:
         for class_info in graph.classes.values():
             graph._resolve_bases(class_info)
         for info in graph.modules.values():
-            graph._record_import_edges(info)
-        if collect_calls:
-            graph.complete_calls()
+            graph._collect_calls(info)
         return graph
-
-    def complete_calls(self) -> None:
-        """Classify every call site (idempotent; the expensive pass)."""
-        if self._calls_collected:
-            return
-        self._calls_collected = True
-        for info in self.modules.values():
-            self._collect_calls(info)
 
     def _index_module(self, info: ModuleInfo) -> None:
         stars: list[str] = []
@@ -325,15 +302,6 @@ class CallGraph:
             if target is not None and target in self.classes:
                 resolved.append(target)
         class_info.resolved_bases = tuple(resolved)
-
-    def _record_import_edges(self, info: ModuleInfo) -> None:
-        for target in info.imports.values():
-            module = self._module_prefix(target)
-            if module is not None and module != info.name:
-                info.imported_modules.add(module)
-        for target in info.star_imports:
-            if target in self.modules and target != info.name:
-                info.imported_modules.add(target)
 
     def _module_prefix(self, dotted: str) -> Optional[str]:
         """Longest prefix of ``dotted`` that names a project module."""
@@ -592,32 +560,6 @@ class CallGraph:
 
     # -- queries ---------------------------------------------------------
 
-    def functions_in_module(self, module: str) -> list[FunctionInfo]:
-        return [fn for fn in self.functions.values()
-                if fn.module == module]
-
-    def callers_of(self, qname: str) -> Iterator[tuple[FunctionInfo,
-                                                       CallSite]]:
-        for fn in self.functions.values():
-            for site in fn.calls:
-                if site.callee == qname:
-                    yield fn, site
-
-    def import_closure(self, module: str) -> frozenset[str]:
-        """``module`` plus every project module it transitively imports."""
-        seen: set[str] = set()
-        stack = [module]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            info = self.modules.get(current)
-            if info is None:
-                continue
-            stack.extend(info.imported_modules - seen)
-        return frozenset(seen)
-
     def stats(self) -> CallGraphStats:
         call_sites = resolved = external = unresolved = 0
         for fn in self.functions.values():
@@ -629,13 +571,11 @@ class CallGraph:
                     external += 1
                 else:
                     unresolved += 1
-        import_edges = sum(len(m.imported_modules)
-                           for m in self.modules.values())
         return CallGraphStats(
             modules=len(self.modules), functions=len(self.functions),
             classes=len(self.classes), call_sites=call_sites,
             resolved_calls=resolved, external_calls=external,
-            unresolved_calls=unresolved, import_edges=import_edges)
+            unresolved_calls=unresolved)
 
 
 def _annotation_class_name(annotation: Optional[ast.expr],

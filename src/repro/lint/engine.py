@@ -1,18 +1,12 @@
-"""File walking, rule dispatch, caching, suppression filtering,
-reporting.
+"""File walking, rule dispatch, suppression filtering, reporting.
 
 One run has two layers. Per-file rules see one parsed module at a
 time. Whole-program rules see the project call graph
 (:mod:`repro.lint.callgraph`) and may attribute a finding to any
 module; the engine maps the module back to its file and applies that
 file's inline suppressions, so ``# replint: allow[...]`` works
-identically for both layers.
-
-With a cache path (:mod:`repro.lint.cache`), files whose content *and*
-transitive import closure are unchanged skip per-file rule evaluation,
-and when every file is unchanged the whole interprocedural pass is
-skipped too — parsing and symbol-table construction always run, since
-the dependency digests come from them.
+identically for both layers. Every run is a full run; ``--changed``
+only narrows the *report* to the files git sees as changed.
 """
 
 from __future__ import annotations
@@ -23,13 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.lint.cache import (
-    CacheEntry,
-    LintCache,
-    content_hash,
-    deps_digest,
-    run_signature,
-)
 from repro.lint.callgraph import CallGraph
 from repro.lint.policy import Policy
 from repro.lint.registry import FILE_RULES, KNOWN_RULE_IDS, PROJECT_RULES
@@ -73,17 +60,10 @@ class LintStats:
     """``--stats`` counters for one run."""
 
     files: int
-    callgraph: str          # CallGraphStats.format() line ("" if unbuilt)
-    cache_hits: int
-    cache_misses: int
+    callgraph: str          # CallGraphStats.format() line
 
     def format(self) -> str:
-        lines = [f"replint: {self.files} files, "
-                 f"{self.cache_hits} cache hits, "
-                 f"{self.cache_misses} misses"]
-        if self.callgraph:
-            lines.append(self.callgraph)
-        return "\n".join(lines)
+        return f"replint: {self.files} files\n{self.callgraph}"
 
 
 @dataclass(frozen=True)
@@ -113,34 +93,36 @@ def _display_path(path: Path) -> str:
         return str(path)
 
 
-def lint_source(source: str, path: Path, policy: Policy, *,
-                rules: Iterable[Rule] = FILE_RULES) -> list[Diagnostic]:
-    """Lint one module's source text against the per-file rules."""
+@dataclass
+class _FileRecord:
+    """Everything the run knows about one linted file."""
+
+    display: str
+    module: str
+    source: str
+    tree: Optional[ast.Module]          # None: syntax error
+    allowed: dict[int, frozenset[str]] = field(default_factory=dict)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
+
+
+def _parse(source: str, path: Path, policy: Policy) -> _FileRecord:
+    """Parse one file and collect its suppressions (and SUP01s)."""
     display = _display_path(path)
+    module = policy.module_name(path)
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        return [Diagnostic(display, exc.lineno or 1, exc.offset or 0,
-                           "SYNTAX", f"cannot parse: {exc.msg}")]
-    lines = source.splitlines()
+        record = _FileRecord(display, module, source, None)
+        record.diagnostics.append(Diagnostic(
+            display, exc.lineno or 1, exc.offset or 0, "SYNTAX",
+            f"cannot parse: {exc.msg}"))
+        return record
     allowed, sup_errors = parse_suppressions(source, KNOWN_RULE_IDS)
-    module = policy.module_name(path)
-    ctx = ModuleContext(module=module, tree=tree, lines=tuple(lines))
-
-    diagnostics = [Diagnostic(display, err.line, 0, SUP01, err.message)
-                   for err in sup_errors]
-    for rule in rules:
-        rule_policy = policy.rule_policy(rule.rule_id,
-                                         rule.default_policy)
-        if not rule_policy.applies_to(module):
-            continue
-        for finding in rule.check(ctx):
-            if _suppressed(finding, rule.rule_id, allowed):
-                continue
-            diagnostics.append(Diagnostic(
-                display, finding.line, finding.col, rule.rule_id,
-                finding.message))
-    return sorted(diagnostics)
+    record = _FileRecord(display, module, source, tree, allowed)
+    record.diagnostics.extend(
+        Diagnostic(display, err.line, 0, SUP01, err.message)
+        for err in sup_errors)
+    return record
 
 
 def _suppressed(finding: Finding, rule_id: str,
@@ -149,161 +131,57 @@ def _suppressed(finding: Finding, rule_id: str,
     return any(rule_id in allowed.get(line, ()) for line in span)
 
 
-@dataclass
-class _FileRecord:
-    """Everything the run knows about one linted file."""
+def _report(record: _FileRecord, rule_id: str, finding: Finding) -> None:
+    if not _suppressed(finding, rule_id, record.allowed):
+        record.diagnostics.append(Diagnostic(
+            record.display, finding.line, finding.col, rule_id,
+            finding.message))
 
-    path: Path
-    display: str
-    module: str
-    source: str
-    tree: Optional[ast.Module]          # None: syntax error
-    allowed: dict[int, frozenset[str]] = field(default_factory=dict)
-    hash: str = ""
-    digest: str = ""                    # deps digest ("": uncacheable)
-    local: list[Diagnostic] = field(default_factory=list)
-    project: list[Diagnostic] = field(default_factory=list)
+
+def _check_file(record: _FileRecord, rules: Iterable[Rule]) -> None:
+    assert record.tree is not None
+    ctx = ModuleContext(module=record.module, tree=record.tree,
+                        lines=tuple(record.source.splitlines()))
+    for rule in rules:
+        if rule.policy.applies_to(record.module):
+            for finding in rule.check(ctx):
+                _report(record, rule.rule_id, finding)
+
+
+def lint_source(source: str, path: Path, policy: Policy, *,
+                rules: Iterable[Rule] = FILE_RULES) -> list[Diagnostic]:
+    """Lint one module's source text against the per-file rules."""
+    record = _parse(source, path, policy)
+    if record.tree is not None:
+        _check_file(record, rules)
+    return sorted(record.diagnostics)
 
 
 def run_lint(paths: Sequence[str | Path], policy: Policy, *,
              file_rules: Iterable[Rule] = FILE_RULES,
              project_rules: Iterable[ProjectRule] = PROJECT_RULES,
-             cache_path: Optional[Path] = None) -> LintResult:
-    """Lint files and the whole program; optionally incremental."""
+             ) -> LintResult:
+    """Lint every file under ``paths``, then the whole program."""
     file_rules = tuple(file_rules)
-    project_rules = tuple(project_rules)
-    records: list[_FileRecord] = []
+    records: dict[Path, _FileRecord] = {}
     for path in iter_python_files([Path(p) for p in paths]):
-        source = path.read_text(encoding="utf-8")
-        display = _display_path(path)
-        module = policy.module_name(path)
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as exc:
-            record = _FileRecord(path, display, module, source, None)
-            record.local.append(Diagnostic(
-                display, exc.lineno or 1, exc.offset or 0, "SYNTAX",
-                f"cannot parse: {exc.msg}"))
-            records.append(record)
-            continue
-        record = _FileRecord(path, display, module, source, tree,
-                             hash=content_hash(source.encode("utf-8")))
-        allowed, sup_errors = parse_suppressions(source, KNOWN_RULE_IDS)
-        record.allowed = allowed
-        record.local.extend(
-            Diagnostic(display, err.line, 0, SUP01, err.message)
-            for err in sup_errors)
-        records.append(record)
+        record = _parse(path.read_text(encoding="utf-8"), path, policy)
+        records[path] = record
+        if record.tree is not None:
+            _check_file(record, file_rules)
 
     graph = CallGraph.build(
-        [(r.module, r.path, r.tree) for r in records if r.tree is not None],
-        collect_calls=False)
-    by_module = {r.module: r for r in records
-                 if r.tree is not None and
-                 graph.modules[r.module].path == r.path}
-    for record in records:
-        if record.tree is None or record.module not in by_module or \
-                by_module[record.module] is not record:
-            continue  # uncacheable: syntax error or module collision
-        closure = graph.import_closure(record.module)
-        record.digest = deps_digest({
-            module: by_module[module].hash
-            for module in closure if module in by_module})
+        [(r.module, path, r.tree) for path, r in records.items()
+         if r.tree is not None])
+    by_module = {name: records[info.path]
+                 for name, info in graph.modules.items()}
+    for rule in project_rules:
+        for module, finding in rule.check_project(graph):
+            _report(by_module[module], rule.rule_id, finding)
 
-    resolved = {rule.rule_id: policy.rule_policy(rule.rule_id,
-                                                 rule.default_policy)
-                for rule in (*file_rules, *project_rules)}
-    signature = run_signature(sorted(
-        (rule_id, rp.zones, rp.exempt)
-        for rule_id, rp in resolved.items()))
-    cache = LintCache(cache_path, signature)
-
-    valid: dict[str, CacheEntry] = {}
-    for record in records:
-        if not record.digest:
-            cache.misses += 1
-            continue
-        entry = cache.lookup(record.display, record.hash, record.digest)
-        if entry is not None:
-            valid[record.display] = entry
-
-    cacheable = [r for r in records if r.digest]
-    all_valid = bool(records) and len(valid) == len(records)
-    callgraph_line = ""
-    if all_valid:
-        for record in records:
-            entry = valid[record.display]
-            record.local.extend(_rows_to_diagnostics(record.display,
-                                                     entry.local))
-            record.project.extend(_rows_to_diagnostics(record.display,
-                                                       entry.project))
-        callgraph_line = cache.stats_line
-    else:
-        graph.complete_calls()
-        callgraph_line = graph.stats().format()
-        for record in records:
-            if record.tree is None:
-                continue
-            entry = valid.get(record.display)
-            if entry is not None:
-                record.local.extend(_rows_to_diagnostics(record.display,
-                                                         entry.local))
-            else:
-                record.local.extend(_check_file(record, file_rules,
-                                                resolved))
-        for rule in project_rules:
-            rule_policy = resolved[rule.rule_id]
-            for module, finding in rule.check_project(graph, rule_policy):
-                record = by_module.get(module)
-                if record is None:
-                    continue
-                if _suppressed(finding, rule.rule_id, record.allowed):
-                    continue
-                record.project.append(Diagnostic(
-                    record.display, finding.line, finding.col,
-                    rule.rule_id, finding.message))
-        for record in cacheable:
-            cache.store(record.display, CacheEntry(
-                content_hash=record.hash, deps_digest=record.digest,
-                local=_diagnostics_to_rows(record.local),
-                project=_diagnostics_to_rows(record.project)))
-        cache.drop_stale([r.display for r in cacheable])
-        cache.write(callgraph_line)
-
-    diagnostics = sorted(d for r in records
-                         for d in (*r.local, *r.project))
-    stats = LintStats(files=len(records), callgraph=callgraph_line,
-                      cache_hits=cache.hits, cache_misses=cache.misses)
+    diagnostics = sorted(d for r in records.values() for d in r.diagnostics)
+    stats = LintStats(files=len(records), callgraph=graph.stats().format())
     return LintResult(diagnostics=tuple(diagnostics), stats=stats)
-
-
-def _check_file(record: _FileRecord, file_rules: Sequence[Rule],
-                resolved: dict) -> list[Diagnostic]:
-    assert record.tree is not None
-    ctx = ModuleContext(module=record.module, tree=record.tree,
-                        lines=tuple(record.source.splitlines()))
-    out: list[Diagnostic] = []
-    for rule in file_rules:
-        rule_policy = resolved[rule.rule_id]
-        if not rule_policy.applies_to(record.module):
-            continue
-        for finding in rule.check(ctx):
-            if _suppressed(finding, rule.rule_id, record.allowed):
-                continue
-            out.append(Diagnostic(record.display, finding.line,
-                                  finding.col, rule.rule_id,
-                                  finding.message))
-    return out
-
-
-def _rows_to_diagnostics(display: str,
-                         rows: Iterable[tuple]) -> list[Diagnostic]:
-    return [Diagnostic(display, line, col, rule, message)
-            for line, col, rule, message in rows]
-
-
-def _diagnostics_to_rows(diagnostics: Iterable[Diagnostic]) -> list:
-    return [(d.line, d.col, d.rule, d.message) for d in diagnostics]
 
 
 def lint_paths(paths: Sequence[str | Path], policy: Policy, *,
@@ -425,20 +303,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                         help="files or directories to check (default: "
                              "the [tool.replint] paths, else 'src')")
     parser.add_argument("--config", type=Path, default=None,
-                        help="pyproject.toml to read zone policy from "
+                        help="pyproject.toml to read [tool.replint] from "
                              "(default: nearest above the first path)")
     parser.add_argument("--format",
                         choices=("text", "json", "github", "sarif"),
                         default="text",
                         help="diagnostic output format (default: text)")
     parser.add_argument("--stats", action="store_true",
-                        help="print file/cache/call-graph statistics")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write the incremental "
-                             "cache")
-    parser.add_argument("--cache-file", type=Path, default=None,
-                        help="cache location (default: "
-                             ".replint-cache.json next to the config)")
+                        help="print file and call-graph statistics")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule registry and exit")
     parser.add_argument("--changed", nargs="?", const="", default=None,
@@ -447,15 +319,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                              "considers changed (uncommitted edits + "
                              "untracked); with a base ref "
                              "(--changed=origin/main), everything since "
-                             "'git merge-base BASE HEAD' — exactly a "
-                             "PR's files. The whole-program pass still "
-                             "runs — through the warm cache — so "
+                             "'git merge-base BASE HEAD'. The whole "
+                             "program is still analysed, so "
                              "interprocedural verdicts stay correct")
     args = parser.parse_args(argv)
 
     if args.list_rules:
         for rule in (*FILE_RULES, *PROJECT_RULES):
-            zones = ", ".join(rule.default_policy.zones)
+            zones = ", ".join(rule.policy.zones)
             scope = ("whole-program"
                      if isinstance(rule, ProjectRule) else "per-file")
             print(f"{rule.rule_id}  {rule.summary}  [{scope}; "
@@ -477,13 +348,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
               + ", ".join(str(p) for p in missing))
         return 2
 
-    cache_path: Optional[Path] = None
-    if not args.no_cache:
-        if args.cache_file is not None:
-            cache_path = args.cache_file
-        elif policy.root is not None:
-            cache_path = policy.root / ".replint-cache.json"
-
     changed_files: Optional[frozenset[Path]] = None
     if args.changed is not None:
         root = (policy.root if policy.root is not None
@@ -499,12 +363,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 print(json.dumps(sarif_payload(()), indent=2))
             return 0
 
-    result = run_lint(paths, policy, cache_path=cache_path)
+    result = run_lint(paths, policy)
     diagnostics = result.diagnostics
     if changed_files is not None:
         keep = {str(p) for p in changed_files}
-        diagnostics = [d for d in diagnostics
-                       if str(Path(d.path).resolve()) in keep]
+        diagnostics = tuple(d for d in diagnostics
+                            if str(Path(d.path).resolve()) in keep)
     if args.format == "sarif":
         print(json.dumps(sarif_payload(diagnostics), indent=2))
     elif args.format == "json":
@@ -514,19 +378,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                  "rule": d.rule, "message": d.message}
                 for d in diagnostics],
             "stats": {"files": result.stats.files,
-                      "cache_hits": result.stats.cache_hits,
-                      "cache_misses": result.stats.cache_misses,
                       "callgraph": result.stats.callgraph},
         }, indent=2))
     else:
         for diagnostic in diagnostics:
             print(diagnostic.format_github() if args.format == "github"
                   else diagnostic.format())
-    if args.stats and args.format not in ("json", "sarif"):
-        print(result.stats.format())
-    if diagnostics:
-        if args.format not in ("json", "sarif"):
+        if args.stats:
+            print(result.stats.format())
+        if diagnostics:
             print(f"replint: {len(diagnostics)} diagnostic"
                   f"{'s' if len(diagnostics) != 1 else ''}")
-        return 1
-    return 0
+    return 1 if diagnostics else 0

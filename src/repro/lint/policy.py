@@ -8,13 +8,16 @@ layer. A *zone* is a dotted module prefix (``repro.simnet``); a rule
 fires only for modules inside one of its zones and outside all of its
 exempt prefixes.
 
-Defaults live on the rules themselves (see :mod:`repro.lint.rules`);
-``[tool.replint.rules.<ID>]`` tables in ``pyproject.toml`` override
-them per rule::
+Zones are constants on the rules themselves (see
+:mod:`repro.lint.rules`) — the one place they are written down.
+``pyproject.toml`` holds only the run settings::
 
-    [tool.replint.rules.DET01]
-    zones = ["repro.simnet", "repro.tor", "repro.analysis"]
-    exempt = ["repro.simnet.perfcounters"]
+    [tool.replint]
+    paths = ["src", "tests", "benchmarks"]
+
+A per-rule ``[tool.replint.rules.<ID>]`` override table is rejected
+rather than read, so a stale or misspelled override fails the run
+instead of silently switching a rule off.
 
 Module names are derived from file paths: anything under a ``src``
 directory maps to the dotted path after it (``src/repro/simnet/x.py``
@@ -26,9 +29,9 @@ path relative to the configuration root (``tests.measure.test_io``).
 from __future__ import annotations
 
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -50,17 +53,12 @@ def _in_prefixes(module: str, prefixes: Sequence[str]) -> bool:
 
 @dataclass(frozen=True)
 class Policy:
-    """The resolved zone policy for one lint run."""
+    """The run settings from ``[tool.replint]``."""
 
-    rules: Mapping[str, RulePolicy] = field(default_factory=dict)
     #: Default CLI paths when none are given.
     paths: tuple[str, ...] = ("src",)
     #: Directory the policy was loaded from (module-name fallback root).
     root: Optional[Path] = None
-
-    def rule_policy(self, rule_id: str,
-                    default: RulePolicy) -> RulePolicy:
-        return self.rules.get(rule_id, default)
 
     def module_name(self, path: Path) -> str:
         """Dotted module name used for zone matching (see module doc)."""
@@ -106,7 +104,8 @@ def load_policy(config: Optional[Path] = None, *,
     ``config`` names the file explicitly; otherwise the nearest
     ``pyproject.toml`` above ``start`` (default: the working
     directory) is used. A missing file or a file without a
-    ``[tool.replint]`` table yields the built-in rule defaults.
+    ``[tool.replint]`` table yields the defaults. Raises ValueError on
+    a ``[tool.replint.rules]`` table: zones live on the rules.
     """
     if config is None:
         config = find_pyproject(start if start is not None else Path.cwd())
@@ -115,11 +114,10 @@ def load_policy(config: Optional[Path] = None, *,
     with open(config, "rb") as handle:
         data = tomllib.load(handle)
     table = data.get("tool", {}).get("replint", {})
-    rules: dict[str, RulePolicy] = {}
-    for rule_id, entry in table.get("rules", {}).items():
-        rules[rule_id] = RulePolicy(
-            zones=tuple(entry.get("zones", ())),
-            exempt=tuple(entry.get("exempt", ())))
-    return Policy(rules=rules,
-                  paths=tuple(table.get("paths", ("src",))),
+    if "rules" in table:
+        raise ValueError(
+            f"{config}: [tool.replint.rules] tables are not supported — "
+            "rule zones are fixed on the rules (see "
+            "docs/static-analysis.md); delete them")
+    return Policy(paths=tuple(table.get("paths", ("src",))),
                   root=config.parent)

@@ -1,9 +1,10 @@
-"""The replint rule registry.
+"""The per-file replint rules.
 
 Each rule is a pure function of one parsed module; each guards an
 invariant the reproduction's guarantees rest on (the rationale, with
 links to the docs that state each invariant, is in
-``docs/static-analysis.md``):
+``docs/static-analysis.md``). A rule's zones are a constant on the
+rule itself:
 
 * **DET01** — no ambient wall-clock or module-level ``random`` calls
   inside the deterministic core. All randomness flows through an
@@ -19,6 +20,13 @@ links to the docs that state each invariant, is in
 * **MP01** — no module-level mutable state mutated from function
   scope in code that supervised worker processes execute; a forked
   worker inherits a silently diverging copy.
+* **EXC01** — no handler in supervisor/teardown zones that catches
+  ``BaseException``/``KeyboardInterrupt`` without re-raising or
+  hard-exiting; Ctrl-C must tear a campaign down deterministically.
+* **UNIT03** — no bare conversion literal (``* 1000``, ``/ 8``,
+  ``* 125_000``) applied to a name whose suffix declares a unit
+  (``_s``, ``_ms``, ``_bytes``, ``_bits``, ``_bps``); conversions go
+  through the named :mod:`repro.units` helpers.
 
 Rules are syntactic and deliberately conservative: they flag the
 *pattern*, and a human either fixes the code or writes an inline
@@ -76,11 +84,11 @@ def _dotted(node: ast.expr) -> Optional[str]:
 
 
 class Rule:
-    """Base: id, one-line summary, default zones, and a checker."""
+    """Base: id, one-line summary, zones, and a checker."""
 
     rule_id: str = ""
     summary: str = ""
-    default_policy: RulePolicy = RulePolicy(zones=())
+    policy: RulePolicy = RulePolicy(zones=())
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -92,18 +100,16 @@ class ProjectRule:
     ``check_project`` yields ``(module_name, finding)`` pairs — the
     engine maps the module back to its file for display and applies
     that file's inline suppressions, exactly as for per-file rules.
-    The resolved :class:`~repro.lint.policy.RulePolicy` is passed in
-    because interprocedural rules need zone/exempt knowledge *during*
-    analysis (an exempt module must not seed taint), not only when
-    filtering findings.
+    Interprocedural rules consult their zones *during* analysis (an
+    exempt module must not seed taint), so filtering findings by zone
+    is the rule's job, not the engine's.
     """
 
     rule_id: str = ""
     summary: str = ""
-    default_policy: RulePolicy = RulePolicy(zones=())
+    policy: RulePolicy = RulePolicy(zones=())
 
-    def check_project(self, graph, rule_policy: RulePolicy,
-                      ) -> Iterator[tuple[str, Finding]]:
+    def check_project(self, graph) -> Iterator[tuple[str, Finding]]:
         raise NotImplementedError
 
 
@@ -133,7 +139,7 @@ class WallClockRule(Rule):
     rule_id = "DET01"
     summary = ("wall-clock or module-level random call in a "
                "deterministic zone")
-    default_policy = RulePolicy(
+    policy = RulePolicy(
         zones=("repro.simnet", "repro.tor", "repro.analysis"),
         exempt=("repro.simnet.perfcounters",))
 
@@ -362,7 +368,7 @@ class SetIterationRule(Rule):
     rule_id = "DET02"
     summary = ("iteration over an unordered set feeds "
                "ordering-sensitive output")
-    default_policy = RulePolicy(
+    policy = RulePolicy(
         zones=("repro.simnet", "repro.tor", "repro.analysis",
                "repro.measure"))
 
@@ -454,7 +460,7 @@ class FloatAccumulationRule(Rule):
     rule_id = "NUM01"
     summary = ("bare float accumulation in a reduction path (use "
                "backend.fsum / ExactSum / statistics.fmean)")
-    default_policy = RulePolicy(
+    policy = RulePolicy(
         zones=("repro.analysis", "repro.measure.store",
                "repro.measure.locations", "repro.measure.monitoring",
                "repro.measure.surge"),
@@ -533,7 +539,7 @@ class RawWriteRule(Rule):
     rule_id = "IO01"
     summary = ("raw writable open() of an artifact outside the atomic "
                "write helpers")
-    default_policy = RulePolicy(
+    policy = RulePolicy(
         zones=("repro.measure",),
         # measure.io *is* the sanctioned writer surface (write_shard,
         # atomic_writer, the export writers).
@@ -588,14 +594,10 @@ _MUTATING_METHODS = frozenset({
 
 
 class ForkStateRule(Rule):
-    # MP03 (repro.lint.concurrency) is this rule's interprocedural
-    # dual: MP01 flags the parent-side mutation per file; MP03 walks
-    # the call graph from child entry points and proves the child
-    # resets the state before first use.
     rule_id = "MP01"
     summary = ("module-level mutable state mutated from function scope "
                "— forked supervised workers inherit a diverging copy")
-    default_policy = RulePolicy(
+    policy = RulePolicy(
         zones=("repro.measure", "repro.core.world"))
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -706,19 +708,303 @@ class ForkStateRule(Rule):
         return frozenset(names)
 
 
-#: The registry, in reporting order. SUP01 (malformed suppressions) is
-#: emitted by the engine during suppression parsing and is listed here
-#: only so ``allow[...]`` validation and ``--list-rules`` know it.
+# ---------------------------------------------------------------------------
+# EXC01 — swallowed BaseException in supervisor/teardown zones
+# ---------------------------------------------------------------------------
+
+_SWALLOW_NAMES = frozenset({"BaseException", "KeyboardInterrupt"})
+
+
+class SwallowedInterruptRule(Rule):
+    rule_id = "EXC01"
+    summary = ("handler swallows BaseException/KeyboardInterrupt "
+               "without re-raising — breaks deterministic teardown")
+    policy = RulePolicy(
+        zones=("repro.measure.supervise", "repro.measure.parallel",
+               "repro.measure.campaign"))
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Try):
+                continue
+            for handler in node.handlers:
+                if not self._catches_interrupt(handler) or \
+                        self._terminates(handler):
+                    continue
+                caught = ("bare except" if handler.type is None
+                          else _dotted(handler.type) or "except")
+                yield Finding(
+                    handler.lineno, handler.lineno, handler.col_offset,
+                    f"{caught} swallows KeyboardInterrupt in a "
+                    "supervisor/teardown zone — Ctrl-C must tear the "
+                    "campaign down deterministically; re-raise (or "
+                    "os._exit in a worker) after cleanup")
+
+    @staticmethod
+    def _catches_interrupt(handler: ast.ExceptHandler) -> bool:
+        if handler.type is None:
+            return True
+        types = (handler.type.elts
+                 if isinstance(handler.type, ast.Tuple)
+                 else [handler.type])
+        for entry in types:
+            name = _dotted(entry)
+            if name is not None and \
+                    name.split(".")[-1] in _SWALLOW_NAMES:
+                return True
+        return False
+
+    @staticmethod
+    def _terminates(handler: ast.ExceptHandler) -> bool:
+        """Handler re-raises or hard-exits on some path."""
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Raise):
+                return True
+            if isinstance(node, ast.Call):
+                dotted = _dotted(node.func)
+                if dotted is not None and dotted.split(".")[-1] in \
+                        ("_exit", "exit", "abort", "kill"):
+                    return True
+        return False
+
+
+# ---------------------------------------------------------------------------
+# UNIT03 — bare conversion literals on unit-suffixed names
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Dim:
+    """A dimension: a kind and (for physical kinds) its unit."""
+
+    kind: str
+    unit: str = ""
+
+    @property
+    def physical(self) -> bool:
+        """Whether mixing this with another physical dim is an error."""
+        return self.kind in ("time", "data", "rate")
+
+    def label(self) -> str:
+        if self.kind == "scalar":
+            return "dimensionless"
+        if self.unit:
+            return f"{self.kind}[{self.unit}]"
+        return self.kind
+
+
+TIME_S = Dim("time", "s")
+TIME_MS = Dim("time", "ms")
+BYTES = Dim("data", "bytes")
+BITS = Dim("data", "bits")
+BYTES_PER_S = Dim("rate", "bytes/s")
+BITS_PER_S = Dim("rate", "bits/s")
+COUNT = Dim("count")
+SCALAR = Dim("scalar")
+UNKNOWN = Dim("unknown")
+#: The dimension of ``repro.units.MS`` (1e-3): multiplying a
+#: milliseconds value by it yields seconds.
+S_PER_MS = Dim("conv", "s/ms")
+
+#: Every lattice point, for property tests.
+ALL_DIMS: tuple[Dim, ...] = (TIME_S, TIME_MS, BYTES, BITS, BYTES_PER_S,
+                             BITS_PER_S, COUNT, SCALAR, UNKNOWN, S_PER_MS)
+
+# The algebra below is the arithmetic the suffix convention implies
+# (bytes / s -> bytes/s, ms * MS -> s). UNIT03 needs only the suffix
+# table; the algebra is kept, property-tested, as the written-down
+# meaning of each suffix.
+
+
+def join(a: Dim, b: Dim) -> Dim:
+    """Least upper bound in the flat lattice."""
+    return a if a == b else UNKNOWN
+
+
+_MUL_TABLE = {
+    (BYTES_PER_S, TIME_S): BYTES,
+    (BITS_PER_S, TIME_S): BITS,
+}
+
+_DIV_TABLE = {
+    (BYTES, TIME_S): BYTES_PER_S,
+    (BITS, TIME_S): BITS_PER_S,
+    (BYTES, BYTES_PER_S): TIME_S,
+    (BITS, BITS_PER_S): TIME_S,
+    (TIME_S, S_PER_MS): TIME_MS,
+}
+
+
+def mul(a: Dim, b: Dim) -> Dim:
+    """Dimension of ``a * b``."""
+    if a == UNKNOWN or b == UNKNOWN:
+        return UNKNOWN
+    for x, y in ((a, b), (b, a)):
+        if x == S_PER_MS:
+            # 5 * MS is five milliseconds expressed in seconds;
+            # x_ms * MS converts milliseconds to seconds.
+            if y == TIME_MS or y.kind in ("scalar", "count"):
+                return TIME_S
+            return UNKNOWN
+    if a.kind == "scalar":
+        return b
+    if b.kind == "scalar":
+        return a
+    if a.kind == "count":
+        return b
+    if b.kind == "count":
+        return a
+    hit = _MUL_TABLE.get((a, b)) or _MUL_TABLE.get((b, a))
+    return hit if hit is not None else UNKNOWN
+
+
+def div(a: Dim, b: Dim) -> Dim:
+    """Dimension of ``a / b`` (and ``a // b``)."""
+    if a == UNKNOWN or b == UNKNOWN:
+        return UNKNOWN
+    if b.kind == "scalar":
+        return a
+    if b.kind == "count":
+        return SCALAR if a.kind == "count" else a
+    if a == b and a.physical:
+        return SCALAR
+    hit = _DIV_TABLE.get((a, b))
+    return hit if hit is not None else UNKNOWN
+
+
+def add_sub(a: Dim, b: Dim) -> tuple[Dim, bool]:
+    """Dimension of ``a + b`` / ``a - b`` and whether they conflict."""
+    if a == b:
+        return a, False
+    if a.physical and b.physical:
+        return UNKNOWN, True
+    if a.physical and b.kind in ("scalar", "count"):
+        return a, False
+    if b.physical and a.kind in ("scalar", "count"):
+        return b, False
+    if {a.kind, b.kind} == {"count", "scalar"}:
+        return COUNT, False
+    return UNKNOWN, False
+
+
+#: Name suffix -> the dimension it declares. Rates are bytes per
+#: second, the repo convention (see repro/units.py).
+_SUFFIXES = {
+    "s": TIME_S, "sec": TIME_S, "secs": TIME_S, "seconds": TIME_S,
+    "ms": TIME_MS, "millis": TIME_MS, "milliseconds": TIME_MS,
+    "bytes": BYTES, "bits": BITS,
+    "bps": BYTES_PER_S,
+    "count": COUNT, "counts": COUNT,
+}
+
+
+def parse_suffix(name: str) -> Optional[tuple[Dim, str]]:
+    """``(dimension, matched_suffix)`` a name's suffix declares, or None.
+
+    ``_per_s`` names are intensities (``hazard_per_s``), not times, and
+    ``from_bytes``-style constructor names do not hold bytes — both
+    return None.
+    """
+    parts = name.lower().split("_")
+    if len(parts) < 2 or parts[-2] in ("per", "from"):
+        return None
+    dim = _SUFFIXES.get(parts[-1])
+    return (dim, parts[-1]) if dim is not None else None
+
+
+def suffix_dim(name: str) -> Optional[Dim]:
+    hit = parse_suffix(name)
+    return hit[0] if hit is not None else None
+
+
+#: Literal factors that smell like unit conversions.
+_CONV_VALUES = frozenset({
+    1000, 1000000, 1000000000,          # s<->ms/us/ns, SI data prefixes
+    0.001, 0.000001,
+    8,                                   # bytes <-> bits
+    125, 125000, 125000000,              # bits/s -> bytes/s prefixes
+    1024, 1048576, 1073741824,           # binary prefixes (repo is SI)
+})
+
+
+def _operand_name(node: ast.expr) -> Optional[str]:
+    """The name a Name / Attribute / constant-key Subscript carries."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Subscript) and \
+            isinstance(node.slice, ast.Constant) and \
+            isinstance(node.slice.value, str):
+        return node.slice.value
+    return None
+
+
+def _conversion_hint(dim: Dim, value: float, is_div: bool) -> str:
+    if dim == TIME_S and not is_div and value == 1000:
+        return "use repro.units.seconds_to_ms"
+    if dim == TIME_MS and ((is_div and value == 1000) or
+                           (not is_div and value == 0.001)):
+        return "use repro.units.ms_to_seconds"
+    if dim == BITS and is_div and value == 8:
+        return "use repro.units.bits"
+    if value in (125, 125000, 125000000):
+        return "use repro.units.kbit/mbit/gbit"
+    if value in (1000000, 1000000000) and dim.kind == "data":
+        return "use repro.units.MB/GB or mbytes"
+    return "spell the conversion through a repro.units helper"
+
+
+class MagicConversionRule(Rule):
+    rule_id = "UNIT03"
+    summary = ("bare magic-number unit conversion where a repro.units "
+               "helper exists")
+    # repro.units is no zone: it *implements* the conversions.
+    policy = RulePolicy(
+        zones=("repro.simnet", "repro.tor", "repro.analysis",
+               "repro.measure", "repro.web", "repro.pts", "repro.core",
+               "benchmarks"))
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.BinOp) or not isinstance(
+                    node.op, (ast.Mult, ast.Div, ast.FloorDiv)):
+                continue
+            is_div = not isinstance(node.op, ast.Mult)
+            # A literal divided *by* a name is not a conversion of it.
+            pairs = [(node.right, node.left)]
+            if not is_div:
+                pairs.append((node.left, node.right))
+            for literal, operand in pairs:
+                if not (isinstance(literal, ast.Constant)
+                        and isinstance(literal.value, (int, float))
+                        and not isinstance(literal.value, bool)
+                        and literal.value in _CONV_VALUES):
+                    continue
+                name = _operand_name(operand)
+                dim = suffix_dim(name) if name is not None else None
+                if dim is None or not dim.physical:
+                    continue
+                op = "/" if is_div else "*"
+                hint = _conversion_hint(dim, literal.value, is_div)
+                line, end, col = _span(node)
+                yield Finding(
+                    line, end, col,
+                    f"bare conversion '{op} {literal.value!r}' applied "
+                    f"to {dim.label()} ('{name}') — {hint}")
+                break
+
+
+#: The per-file rules, in reporting order. SUP01 (malformed
+#: suppressions) is emitted by the engine during suppression parsing.
 RULES: tuple[Rule, ...] = (
     WallClockRule(),
     SetIterationRule(),
     FloatAccumulationRule(),
     RawWriteRule(),
     ForkStateRule(),
+    SwallowedInterruptRule(),
+    MagicConversionRule(),
 )
 
 SUP01 = "SUP01"
 SUP01_SUMMARY = "malformed or unjustified replint suppression comment"
-
-KNOWN_RULE_IDS: frozenset[str] = frozenset(
-    {rule.rule_id for rule in RULES} | {SUP01})

@@ -169,17 +169,16 @@ class TransitiveAmbientRule(ProjectRule):
     rule_id = "DET03"
     summary = ("zone function transitively reaches an ambient "
                "wall-clock/random/entropy/env source")
-    default_policy = RulePolicy(
+    policy = RulePolicy(
         zones=("repro.simnet", "repro.tor", "repro.analysis"),
         exempt=("repro.simnet.perfcounters",))
 
-    def check_project(self, graph: CallGraph, rule_policy: RulePolicy,
-                      ) -> Iterator[tuple[str, Finding]]:
-        taints = self._propagate(graph, rule_policy)
+    def check_project(self, graph: CallGraph) -> Iterator[tuple[str, Finding]]:
+        taints = self._propagate(graph)
         candidates = {
             qname: taint for qname, taint in taints.items()
             if taint.depth >= 1
-            and rule_policy.applies_to(graph.functions[qname].module)}
+            and self.policy.applies_to(graph.functions[qname].module)}
         for qname in sorted(candidates):
             taint = candidates[qname]
             # Frontier only: if the next hop is itself a reported zone
@@ -203,14 +202,13 @@ class TransitiveAmbientRule(ProjectRule):
 
     # -- analysis -------------------------------------------------------
 
-    def _propagate(self, graph: CallGraph, rule_policy: RulePolicy,
-                   ) -> dict[str, _Taint]:
+    def _propagate(self, graph: CallGraph) -> dict[str, _Taint]:
         aliases = {name: _module_ambient_aliases(info.tree)
                    for name, info in graph.modules.items()}
         taints: dict[str, _Taint] = {}
         for qname in sorted(graph.functions):
             fn = graph.functions[qname]
-            if _in_prefixes(fn.module, rule_policy.exempt):
+            if _in_prefixes(fn.module, self.policy.exempt):
                 continue  # sanctioned ambient reads do not seed
             hits = ambient_sources(fn, aliases[fn.module])
             if hits:
@@ -280,20 +278,19 @@ class EscapedOrderRule(ProjectRule):
     rule_id = "DET04"
     summary = ("unordered iteration order escapes a return value into "
                "an ordering-sensitive zone")
-    default_policy = RulePolicy(
+    policy = RulePolicy(
         zones=("repro.simnet", "repro.tor", "repro.analysis",
                "repro.measure"))
 
     _FIX = (" — sort in the producer (sorted(...) with a deterministic "
             "key) or before consuming")
 
-    def check_project(self, graph: CallGraph, rule_policy: RulePolicy,
-                      ) -> Iterator[tuple[str, Finding]]:
+    def check_project(self, graph: CallGraph) -> Iterator[tuple[str, Finding]]:
         returns = self._return_summaries(graph)
         findings: list[tuple[str, Finding]] = []
         for qname in sorted(graph.functions):
             fn = graph.functions[qname]
-            if not rule_policy.applies_to(fn.module):
+            if not self.policy.applies_to(fn.module):
                 continue
             findings.extend(
                 (fn.module, finding)

@@ -1,11 +1,12 @@
-"""Seeded-violation acceptance: one transitive violation per rule.
+"""Seeded-violation acceptance: one violation per rule, real CLI.
 
 This is the end-to-end contract for the whole-program rules: plant a
 violation whose *source* is two call hops below the zone entry point,
 run the real CLI, and pin the **exact** ``file:line:col: RULE``
-diagnostic — printed call chain included. If resolution, taint
-propagation, summary fixpoints, or diagnostic rendering regress in any
-visible way, these strings change.
+diagnostic — printed call chain included. EXC01 and UNIT03 ride along
+so both layers go through one report. If resolution, taint
+propagation, or diagnostic rendering regress in any visible way,
+these strings change.
 """
 
 import json
@@ -26,7 +27,8 @@ def _write(root: Path, relative: str, source: str) -> Path:
 
 @pytest.fixture()
 def seeded_tree(tmp_path):
-    """One violation per whole-program rule (+ EXC01), two hops deep."""
+    """One violation per whole-program rule (two hops deep), plus
+    EXC01 and UNIT03."""
     # DET03: zone entry -> stamp -> read_clock -> time.time()
     _write(tmp_path, "src/repro/util/clock.py", """\
         import time
@@ -63,50 +65,6 @@ def seeded_tree(tmp_path):
         def render(items):
             return ",".join(pass_through(items))
     """)
-    # ATOM01: the write happens in stage -> write_raw; the zone
-    # function renames without any fsync on any path.
-    _write(tmp_path, "src/repro/util/raw.py", """\
-        def write_raw(handle, payload):
-            handle.write(payload)
-    """)
-    _write(tmp_path, "src/repro/util/stage.py", """\
-        from repro.util.raw import write_raw
-
-        def stage(handle, payload):
-            write_raw(handle, payload)
-    """)
-    _write(tmp_path, "src/repro/measure/publish.py", """\
-        import os
-
-        from repro.util.stage import stage
-
-        def publish(tmp, final, payload):
-            handle = open(tmp, "wb")  # replint: allow[IO01] -- fixture drives the raw protocol deliberately
-            try:
-                stage(handle, payload)
-            finally:
-                handle.close()
-            os.replace(tmp, final)
-    """)
-    # RES01: the handle is acquired through acquire -> raw_open and
-    # never closed.
-    _write(tmp_path, "src/repro/util/openers.py", """\
-        def raw_open(path):
-            return open(path, "ab")
-    """)
-    _write(tmp_path, "src/repro/util/midopen.py", """\
-        from repro.util.openers import raw_open
-
-        def acquire(path):
-            return raw_open(path)
-    """)
-    _write(tmp_path, "src/repro/measure/logger.py", """\
-        from repro.util.midopen import acquire
-
-        def start(path, line):
-            handle = acquire(path)
-            handle.write(line)
-    """)
     # EXC01: a swallowing handler inside a supervisor zone module.
     _write(tmp_path, "src/repro/measure/campaign.py", """\
         def drain(queue):
@@ -115,144 +73,24 @@ def seeded_tree(tmp_path):
             except BaseException:
                 pass
     """)
-    # MP02: the Process target is a lambda built two hops below the
-    # zone (make_task -> make_lambda).
-    _write(tmp_path, "src/repro/util/factory.py", """\
-        def make_lambda():
-            return lambda: None
-
-        def make_task():
-            return make_lambda()
-    """)
-    _write(tmp_path, "src/repro/measure/spawn.py", """\
-        import multiprocessing as mp
-
-        from repro.util.factory import make_task
-
-        def launch():
-            task = make_task()
-            proc = mp.Process(target=task)
-            proc.start()
-            proc.join()
-    """)
-    # MP03: the child entry reaches fork-inherited mutable state two
-    # hops down (worker -> record -> remember) with no reset first.
-    _write(tmp_path, "src/repro/util/state.py", """\
-        CACHE = {}
-
-        def remember(key, value):
-            CACHE[key] = value
-
-        def reset_cache():
-            global CACHE
-            CACHE = {}
-    """)
-    _write(tmp_path, "src/repro/util/record.py", """\
-        from repro.util.state import remember
-
-        def record(job):
-            remember(job, 1)
-    """)
-    _write(tmp_path, "src/repro/measure/worker.py", """\
-        import multiprocessing as mp
-
-        from repro.util.record import record
-
-        def worker(job):
-            record(job)
-
-        def launch(job):
-            proc = mp.Process(target=worker, args=(job,))
-            proc.start()
-            proc.join()
-    """)
-    # RES02: a helper chain (launch -> begin) hands back a started
-    # process; the zone caller never joins it.
-    _write(tmp_path, "src/repro/util/procs.py", """\
-        import multiprocessing as mp
-
-        def begin(job):
-            proc = mp.Process(target=job)
-            proc.start()
-            return proc
-
-        def launch(job):
-            return begin(job)
-    """)
-    _write(tmp_path, "src/repro/measure/camp.py", """\
-        from repro.util.procs import launch
-
-        def campaign(job):
-            proc = launch(job)
-    """)
-    # SIG01: the registered handler reaches a buffered flush two hops
-    # down (_on_term -> drain_logs).
-    _write(tmp_path, "src/repro/util/drain.py", """\
-        def drain_logs(stream):
-            stream.flush()
-    """)
-    _write(tmp_path, "src/repro/measure/daemon.py", """\
-        import signal
-
-        from repro.util.drain import drain_logs
-
-        def _on_term(signum, frame):
-            drain_logs(None)
-
-        def install():
-            signal.signal(signal.SIGTERM, _on_term)
-    """)
-    # ASY01: a blocking sleep inside the serve zone's event loop.
-    _write(tmp_path, "src/repro/serve/daemon.py", """\
-        import time
-
-        async def poll_loop(interval):
-            time.sleep(interval)
-    """)
-    # UNIT02: a milliseconds value produced two hops below the zone
-    # (step -> fetch_elapsed -> elapsed_ms) flows into a seconds
-    # parameter. UNIT01/UNIT03: mixed-dimension arithmetic and a bare
-    # conversion literal inside the zone itself.
-    _write(tmp_path, "src/repro/util/convert.py", """\
-        def elapsed_ms(start_s, end_s):
-            return (end_s - start_s) * 1000.0
-    """)
-    _write(tmp_path, "src/repro/util/fetchtime.py", """\
-        from repro.util.convert import elapsed_ms
-
-        def fetch_elapsed(trace):
-            return elapsed_ms(trace.start_s, trace.end_s)
-    """)
+    # UNIT03: a bare conversion literal on a seconds-suffixed name
+    # inside the zone.
     _write(tmp_path, "src/repro/simnet/sched.py", """\
-        from repro.util.fetchtime import fetch_elapsed
-
-        def wait_for(kernel, timeout_s):
-            kernel.advance(timeout_s)
-
-        def step(kernel, trace):
-            wait_for(kernel, fetch_elapsed(trace))
-
-        def overdraft(budget_bytes, spent_bits):
-            return budget_bytes - spent_bits
-
         def to_ms(duration_s):
             return duration_s * 1000.0
     """)
-    # The fixture's own repro.units module: exempt from UNIT03 (it
-    # implements the conversions) and the fix target for the plants.
+    # The fixture's own repro.units module: outside UNIT03's zones (it
+    # implements the conversions) and the fix target for the plant.
     _write(tmp_path, "src/repro/units.py", """\
         def seconds_to_ms(t_s):
             return t_s * 1000.0
-
-        def ms_to_seconds(t_ms):
-            return t_ms / 1000.0
     """)
     _write(tmp_path, "pyproject.toml", '[tool.replint]\npaths = ["src"]\n')
     return tmp_path
 
 
 def _run_lint(tree: Path, capsys, *extra: str) -> tuple[int, str]:
-    code = run(["--no-cache", "--config", str(tree / "pyproject.toml"),
+    code = run(["--config", str(tree / "pyproject.toml"),
                 *extra, str(tree / "src")])
     return code, capsys.readouterr().out
 
@@ -262,84 +100,48 @@ def test_seeded_violations_exact_diagnostics(seeded_tree, capsys):
     assert code == 1
     src = seeded_tree / "src"
     expected = [
-        f"{src}/repro/measure/camp.py:4:11: RES02 process 'proc' is "
-        "not joined on all paths (spawned via launch -> begin) — join "
-        "(or terminate, then join) on every exit, teardown included",
         f"{src}/repro/measure/campaign.py:4:4: EXC01 BaseException "
         "swallows KeyboardInterrupt in a supervisor/teardown zone — "
         "Ctrl-C must tear the campaign down deterministically; re-raise "
         "(or os._exit in a worker) after cleanup",
-        f"{src}/repro/measure/daemon.py:9:4: SIG01 signal handler "
-        "'_on_term' flushes a buffered stream (repro.util.drain:2) "
-        "(via _on_term -> drain_logs) — a handler can run inside any "
-        "bytecode; restrict it to async-signal-tolerant work (set a "
-        "flag, os.write to a pipe)",
-        f"{src}/repro/measure/logger.py:4:13: RES01 writable handle "
-        "'handle' is not closed on all paths (acquired via acquire -> "
-        "raw_open) — close it on every exit, or use 'with'",
-        f"{src}/repro/measure/publish.py:11:4: ATOM01 rename of 'tmp' "
-        "is reachable without a dominating fsync on all paths (written "
-        "via stage -> write_raw) — a crash here can publish an empty or "
-        "torn artifact; fsync the handle (and close it) before "
-        "renaming, or route through measure.io.write_shard/atomic_writer",
         f"{src}/repro/measure/report.py:4:20: DET04 a set returned by "
         "'gather' (repro.util.collect:2, a set) reaches join() in hash "
         "order via render -> pass_through -> gather — sort in the "
         "producer (sorted(...) with a deterministic key) or before "
         "consuming",
-        f"{src}/repro/measure/spawn.py:7:11: MP02 target of "
-        "mp.Process(...) crosses a process boundary but is a lambda "
-        "(repro.util.factory:2) (via make_task -> make_lambda) — "
-        "processes pickle everything they receive; pass module-level "
-        "functions and plain data",
-        f"{src}/repro/measure/worker.py:5:0: MP03 child entry "
-        "'worker' reaches module-level mutable 'CACHE' "
-        "(repro.util.state:1) (via worker -> record -> remember) "
-        "without a dominating reset — forked workers inherit the "
-        "parent's state; call its reset helper first in the child",
-        f"{src}/repro/serve/daemon.py:4:4: ASY01 blocking "
-        "time.sleep() inside 'async def poll_loop' stalls the event "
-        "loop — await asyncio.sleep() instead",
         f"{src}/repro/simnet/engine.py:4:11: DET03 'step' transitively "
         "reaches time.time() via step -> stamp -> read_clock "
         "(repro.util.clock:4) — inject simulated time / a seeded "
         "random.Random instead of ambient state",
-        f"{src}/repro/simnet/sched.py:7:21: UNIT02 argument is time[ms] "
-        "(declared by suffix '_ms' on 'elapsed_ms' (repro.util.convert:1) "
-        "via step -> fetch_elapsed -> elapsed_ms) but parameter "
-        "'timeout_s' of 'wait_for' (repro.simnet.sched:3) is time[s] — "
-        "convert at the call boundary with repro.units",
-        f"{src}/repro/simnet/sched.py:10:11: UNIT01 subtraction mixes "
-        "data[bytes] ('budget_bytes') with data[bits] ('spent_bits') — "
-        "convert one side through repro.units",
-        f"{src}/repro/simnet/sched.py:13:11: UNIT03 bare conversion "
+        f"{src}/repro/simnet/sched.py:2:11: UNIT03 bare conversion "
         "'* 1000.0' applied to time[s] ('duration_s') — use "
         "repro.units.seconds_to_ms",
-        "replint: 13 diagnostics",
+        "replint: 4 diagnostics",
     ]
     assert out.splitlines() == expected
 
 
 def test_seeded_violations_are_individually_suppressible(seeded_tree,
                                                          capsys):
-    """Inline allows silence project-rule findings at the flagged line."""
-    publish = seeded_tree / "src/repro/measure/publish.py"
-    source = publish.read_text().replace(
-        "    os.replace(tmp, final)",
-        "    os.replace(tmp, final)  "
-        "# replint: allow[ATOM01] -- test fixture accepts torn output")
-    publish.write_text(source)
+    """Inline allows silence findings of both layers at the flagged
+    line."""
+    report = seeded_tree / "src/repro/measure/report.py"
+    source = report.read_text().replace(
+        '    return ",".join(pass_through(items))',
+        '    return ",".join(pass_through(items))  '
+        "# replint: allow[DET04] -- test fixture accepts hash order")
+    report.write_text(source)
     sched = seeded_tree / "src/repro/simnet/sched.py"
     source = sched.read_text().replace(
-        "    return budget_bytes - spent_bits",
-        "    return budget_bytes - spent_bits  "
-        "# replint: allow[UNIT01] -- fixture mixes units deliberately")
+        "    return duration_s * 1000.0",
+        "    return duration_s * 1000.0  "
+        "# replint: allow[UNIT03] -- fixture converts by hand deliberately")
     sched.write_text(source)
     code, out = _run_lint(seeded_tree, capsys)
     assert code == 1
-    assert "ATOM01" not in out
-    assert "UNIT01" not in out
-    assert "replint: 11 diagnostics" in out
+    assert "DET04" not in out
+    assert "UNIT03" not in out
+    assert "replint: 2 diagnostics" in out
 
 
 def test_seeded_violations_json_format(seeded_tree, capsys):
@@ -347,16 +149,12 @@ def test_seeded_violations_json_format(seeded_tree, capsys):
     assert code == 1
     payload = json.loads(out)
     assert [d["rule"] for d in payload["diagnostics"]] == \
-        ["RES02", "EXC01", "SIG01", "RES01", "ATOM01", "DET04",
-         "MP02", "MP03", "ASY01", "DET03", "UNIT02", "UNIT01", "UNIT03"]
-    det03 = payload["diagnostics"][9]
+        ["EXC01", "DET04", "DET03", "UNIT03"]
+    det03 = payload["diagnostics"][2]
     assert det03["path"].endswith("src/repro/simnet/engine.py")
     assert (det03["line"], det03["col"]) == (4, 11)
-    unit02 = payload["diagnostics"][10]
-    assert unit02["path"].endswith("src/repro/simnet/sched.py")
-    assert (unit02["line"], unit02["col"]) == (7, 21)
-    assert "via step -> fetch_elapsed -> elapsed_ms" in unit02["message"]
-    assert payload["stats"]["files"] == 27
+    assert "via step -> stamp -> read_clock" in det03["message"]
+    assert payload["stats"]["files"] == 9
     assert "callgraph:" in payload["stats"]["callgraph"]
 
 
@@ -365,26 +163,25 @@ def test_seeded_violations_github_format(seeded_tree, capsys):
     assert code == 1
     lines = out.splitlines()
     annotations = [l for l in lines if l.startswith("::error ")]
-    assert len(annotations) == 13
+    assert len(annotations) == 4
     engine = seeded_tree / "src/repro/simnet/engine.py"
     expected_file = str(engine).replace(":", "%3A").replace(",", "%2C")
-    det03 = annotations[9]
+    det03 = annotations[2]
     assert det03.startswith(f"::error file={expected_file},line=4,col=11,"
                             "title=replint DET03::")
     # Workflow-command payloads must stay single-line; the em-dash
     # message text rides through unescaped but newline-free.
     assert "\n" not in det03 and "%0A" not in det03
+    assert "via step -> stamp -> read_clock" in det03
     sched = seeded_tree / "src/repro/simnet/sched.py"
     sched_file = str(sched).replace(":", "%3A").replace(",", "%2C")
-    unit02 = annotations[10]
-    assert unit02.startswith(f"::error file={sched_file},line=7,col=21,"
-                             "title=replint UNIT02::")
-    assert "via step -> fetch_elapsed -> elapsed_ms" in unit02
+    assert annotations[3].startswith(
+        f"::error file={sched_file},line=2,col=11,title=replint UNIT03::")
 
 
 def test_seeded_violations_sarif_format(seeded_tree, capsys):
-    """The SARIF log carries the interprocedural unit verdicts with the
-    full provenance chain and 1-based columns intact."""
+    """The SARIF log carries the interprocedural verdicts with the full
+    call chain and 1-based columns intact."""
     code, out = _run_lint(seeded_tree, capsys, "--format=sarif")
     assert code == 1
     payload = json.loads(out)
@@ -392,24 +189,22 @@ def test_seeded_violations_sarif_format(seeded_tree, capsys):
     assert run["tool"]["driver"]["name"] == "replint"
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
     assert rule_ids == sorted(rule_ids)
-    for rule_id in ("UNIT01", "UNIT02", "UNIT03", "SUP01", "SYNTAX"):
+    for rule_id in ("DET03", "DET04", "EXC01", "UNIT03", "SUP01",
+                    "SYNTAX"):
         assert rule_id in rule_ids
     results = run["results"]
     assert [r["ruleId"] for r in results] == \
-        ["RES02", "EXC01", "SIG01", "RES01", "ATOM01", "DET04",
-         "MP02", "MP03", "ASY01", "DET03", "UNIT02", "UNIT01", "UNIT03"]
-    unit02 = results[10]
-    assert unit02["level"] == "error"
-    # The two-hop provenance chain survives into code scanning: the
-    # ms value originates two resolved call edges below the caller.
-    assert ("via step -> fetch_elapsed -> elapsed_ms"
-            in unit02["message"]["text"])
-    location = unit02["locations"][0]["physicalLocation"]
+        ["EXC01", "DET04", "DET03", "UNIT03"]
+    det03 = results[2]
+    assert det03["level"] == "error"
+    # The two-hop call chain survives into code scanning.
+    assert "via step -> stamp -> read_clock" in det03["message"]["text"]
+    location = det03["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"].endswith(
-        "src/repro/simnet/sched.py")
+        "src/repro/simnet/engine.py")
     region = location["region"]
-    # SARIF columns are 1-based; replint's are 0-based (col 21 -> 22).
-    assert (region["startLine"], region["startColumn"]) == (7, 22)
+    # SARIF columns are 1-based; replint's are 0-based (col 11 -> 12).
+    assert (region["startLine"], region["startColumn"]) == (4, 12)
 
 
 def test_fixed_tree_is_clean(seeded_tree, capsys):
@@ -422,31 +217,6 @@ def test_fixed_tree_is_clean(seeded_tree, capsys):
         def gather(items):
             return sorted(set(items))
     """)
-    _write(seeded_tree, "src/repro/measure/publish.py", """\
-        import os
-
-        from repro.util.stage import stage
-
-        def publish(tmp, final, payload):
-            handle = open(tmp, "wb")  # replint: allow[IO01] -- fixture drives the raw protocol deliberately
-            try:
-                stage(handle, payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            finally:
-                handle.close()
-            os.replace(tmp, final)
-    """)
-    _write(seeded_tree, "src/repro/measure/logger.py", """\
-        from repro.util.midopen import acquire
-
-        def start(path, line):
-            handle = acquire(path)
-            try:
-                handle.write(line)
-            finally:
-                handle.close()
-    """)
     _write(seeded_tree, "src/repro/measure/campaign.py", """\
         def drain(queue):
             try:
@@ -455,79 +225,8 @@ def test_fixed_tree_is_clean(seeded_tree, capsys):
                 queue.abort()
                 raise
     """)
-    # MP02: pass a module-level function instead of a built lambda.
-    _write(seeded_tree, "src/repro/measure/spawn.py", """\
-        import multiprocessing as mp
-
-        def task():
-            return None
-
-        def launch():
-            proc = mp.Process(target=task)
-            proc.start()
-            proc.join()
-    """)
-    # MP03: reset the inherited state before the child touches it.
-    _write(seeded_tree, "src/repro/measure/worker.py", """\
-        import multiprocessing as mp
-
-        from repro.util.record import record
-        from repro.util.state import reset_cache
-
-        def worker(job):
-            reset_cache()
-            record(job)
-
-        def launch(job):
-            proc = mp.Process(target=worker, args=(job,))
-            proc.start()
-            proc.join()
-    """)
-    # RES02: the caller joins the process the helper handed back.
-    _write(seeded_tree, "src/repro/measure/camp.py", """\
-        from repro.util.procs import launch
-
-        def campaign(job):
-            proc = launch(job)
-            proc.join()
-    """)
-    # SIG01: the handler does only async-signal-tolerant work — one
-    # os.write to a wakeup pipe, exactly as the diagnostic advises.
-    _write(seeded_tree, "src/repro/measure/daemon.py", """\
-        import os
-        import signal
-
-        WAKEUP_FD = 2
-
-        def _on_term(signum, frame):
-            os.write(WAKEUP_FD, b"x")
-
-        def install():
-            signal.signal(signal.SIGTERM, _on_term)
-    """)
-    # ASY01: yield to the event loop instead of blocking it.
-    _write(seeded_tree, "src/repro/serve/daemon.py", """\
-        import asyncio
-
-        async def poll_loop(interval):
-            await asyncio.sleep(interval)
-    """)
-    # UNIT01/02/03: convert at the boundaries through repro.units — the
-    # ms result is converted before the seconds parameter, both sides of
-    # the subtraction carry the same dimension, and the bare * 1000.0
-    # goes through the named helper.
     _write(seeded_tree, "src/repro/simnet/sched.py", """\
-        from repro.units import ms_to_seconds, seconds_to_ms
-        from repro.util.fetchtime import fetch_elapsed
-
-        def wait_for(kernel, timeout_s):
-            kernel.advance(timeout_s)
-
-        def step(kernel, trace):
-            wait_for(kernel, ms_to_seconds(fetch_elapsed(trace)))
-
-        def overdraft(budget_bytes, spent_bytes):
-            return budget_bytes - spent_bytes
+        from repro.units import seconds_to_ms
 
         def to_ms(duration_s):
             return seconds_to_ms(duration_s)

@@ -14,8 +14,7 @@ from pathlib import Path
 from repro.lint.callgraph import CallGraph
 
 
-def _graph(tmp_path: Path, files: dict[str, str], *,
-           collect_calls: bool = True) -> CallGraph:
+def _graph(tmp_path: Path, files: dict[str, str]) -> CallGraph:
     """Build a graph from ``{dotted_module: source}``."""
     modules = []
     for module, source in files.items():
@@ -24,7 +23,7 @@ def _graph(tmp_path: Path, files: dict[str, str], *,
         text = textwrap.dedent(source)
         path.write_text(text)
         modules.append((module, path, ast.parse(text)))
-    return CallGraph.build(modules, collect_calls=collect_calls)
+    return CallGraph.build(modules)
 
 
 def _sites(graph: CallGraph, qname: str) -> dict[str, str]:
@@ -245,33 +244,3 @@ def test_duplicate_module_names_keep_first(tmp_path):
 
 
 # -- import closure and deferred call collection ------------------------
-
-
-def test_import_closure_is_transitive(tmp_path):
-    graph = _graph(tmp_path, {
-        "pkg.leaf": "def f():\n    return 1\n",
-        "pkg.mid": "from pkg.leaf import f\n",
-        "pkg.top": "from pkg.mid import f\n",
-        "pkg.other": "def g():\n    return 2\n",
-    })
-    assert graph.import_closure("pkg.top") == \
-        frozenset({"pkg.top", "pkg.mid", "pkg.leaf"})
-    assert graph.import_closure("pkg.other") == frozenset({"pkg.other"})
-
-
-def test_light_build_defers_call_collection(tmp_path):
-    files = {
-        "pkg.util": "def helper():\n    return 1\n",
-        "pkg.main": ("from pkg.util import helper\n\n"
-                     "def go():\n    return helper()\n"),
-    }
-    graph = _graph(tmp_path, files, collect_calls=False)
-    assert graph.functions["pkg.main.go"].calls == []
-    # Symbol tables and import edges exist without the call pass.
-    assert graph.import_closure("pkg.main") == \
-        frozenset({"pkg.main", "pkg.util"})
-    graph.complete_calls()
-    assert _sites(graph, "pkg.main.go") == {"helper": "pkg.util.helper"}
-    before = len(graph.functions["pkg.main.go"].calls)
-    graph.complete_calls()  # idempotent
-    assert len(graph.functions["pkg.main.go"].calls) == before

@@ -73,16 +73,16 @@ def _checkout(tmp_path: Path) -> Path:
 def test_changed_without_edits_reports_nothing(tmp_path, capsys):
     root = _checkout(tmp_path)
     # The tree has a violation, but no file changed since HEAD.
-    assert run([str(root / "src"), "--no-cache"]) == 1
+    assert run([str(root / "src")]) == 1
     capsys.readouterr()
-    assert run([str(root / "src"), "--no-cache", "--changed"]) == 0
+    assert run([str(root / "src"), "--changed"]) == 0
     assert capsys.readouterr().out == ""
 
 
 def test_changed_scopes_the_report_to_edited_files(tmp_path, capsys):
     root = _checkout(tmp_path)
     _write(root, "src/repro/simnet/clocked.py", _VIOLATION)
-    assert run([str(root / "src"), "--no-cache", "--changed"]) == 1
+    assert run([str(root / "src"), "--changed"]) == 1
     out = capsys.readouterr().out
     # Both files violate DET01; only the edited one is reported.
     assert "clocked.py" in out
@@ -93,7 +93,7 @@ def test_changed_scopes_the_report_to_edited_files(tmp_path, capsys):
 def test_changed_includes_untracked_files(tmp_path, capsys):
     root = _checkout(tmp_path)
     _write(root, "src/repro/simnet/fresh.py", _VIOLATION)
-    assert run([str(root / "src"), "--no-cache", "--changed"]) == 1
+    assert run([str(root / "src"), "--changed"]) == 1
     out = capsys.readouterr().out
     assert "fresh.py" in out and "other.py" not in out
 
@@ -109,10 +109,10 @@ def test_changed_base_ref_scopes_to_commits_since_merge_base(tmp_path,
     _git(root, "add", "-A")
     _git(root, "commit", "-q", "-m", "edit")
     # Committed work is invisible to worktree mode...
-    assert run([str(root / "src"), "--no-cache", "--changed"]) == 0
+    assert run([str(root / "src"), "--changed"]) == 0
     capsys.readouterr()
     # ...but diffing against the base ref catches it, scoped.
-    code = run([str(root / "src"), "--no-cache", f"--changed={base}"])
+    code = run([str(root / "src"), f"--changed={base}"])
     assert code == 1
     out = capsys.readouterr().out
     assert "clocked.py" in out and "other.py" not in out
@@ -120,16 +120,14 @@ def test_changed_base_ref_scopes_to_commits_since_merge_base(tmp_path,
 
 def test_changed_base_ref_clean_when_nothing_diverged(tmp_path, capsys):
     root = _checkout(tmp_path)
-    assert run([str(root / "src"), "--no-cache",
-                "--changed=HEAD"]) == 0
+    assert run([str(root / "src"), "--changed=HEAD"]) == 0
     assert capsys.readouterr().out == ""
 
 
 def test_changed_with_unresolvable_base_is_a_usage_error(tmp_path,
                                                          capsys):
     root = _checkout(tmp_path)
-    code = run([str(root / "src"), "--no-cache",
-                "--changed=no-such-ref"])
+    code = run([str(root / "src"), "--changed=no-such-ref"])
     assert code == 2
     assert "--changed requires" in capsys.readouterr().out
 
@@ -138,7 +136,7 @@ def test_changed_outside_a_checkout_is_a_usage_error(tmp_path, capsys):
     root = tmp_path / "plain"
     _write(root, "pyproject.toml", _PYPROJECT)
     _write(root, "src/repro/simnet/mod.py", _CLEAN)
-    code = run([str(root / "src"), "--no-cache", "--changed"])
+    code = run([str(root / "src"), "--changed"])
     assert code == 2
     assert "--changed requires" in capsys.readouterr().out
 
@@ -158,7 +156,7 @@ def test_git_changed_files_base_mode_uses_the_merge_base(tmp_path):
 
 
 def test_sarif_payload_structure():
-    diag = Diagnostic("src/repro/x.py", 12, 4, "UNIT01", "mixed dims")
+    diag = Diagnostic("src/repro/x.py", 12, 4, "UNIT03", "bare * 1000")
     payload = sarif_payload([diag])
     assert payload["version"] == "2.1.0"
     run_obj = payload["runs"][0]
@@ -166,14 +164,14 @@ def test_sarif_payload_structure():
     assert driver["name"] == "replint"
     rule_ids = [rule["id"] for rule in driver["rules"]]
     assert rule_ids == sorted(rule_ids)
-    assert {"UNIT01", "UNIT02", "UNIT03", "DET01", "SUP01",
-            "SYNTAX"} <= set(rule_ids)
+    assert {"UNIT03", "DET01", "DET03", "SUP01", "SYNTAX"} <= \
+        set(rule_ids)
     assert all(rule["shortDescription"]["text"]
                for rule in driver["rules"])
     result = run_obj["results"][0]
-    assert result["ruleId"] == "UNIT01"
+    assert result["ruleId"] == "UNIT03"
     assert result["level"] == "error"
-    assert result["message"]["text"] == "mixed dims"
+    assert result["message"]["text"] == "bare * 1000"
     location = result["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == "src/repro/x.py"
     # SARIF is 1-based; replint columns are 0-based AST offsets.
@@ -189,8 +187,7 @@ def test_sarif_cli_clean_tree_prints_an_empty_log(tmp_path, capsys):
     root = tmp_path / "clean"
     _write(root, "pyproject.toml", _PYPROJECT)
     _write(root, "src/repro/simnet/mod.py", _CLEAN)
-    assert run([str(root / "src"), "--no-cache",
-                "--format=sarif"]) == 0
+    assert run([str(root / "src"), "--format=sarif"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["runs"][0]["results"] == []
 
@@ -198,7 +195,7 @@ def test_sarif_cli_clean_tree_prints_an_empty_log(tmp_path, capsys):
 def test_sarif_cli_changed_early_exit_still_prints_a_log(tmp_path,
                                                          capsys):
     root = _checkout(tmp_path)
-    assert run([str(root / "src"), "--no-cache", "--changed",
+    assert run([str(root / "src"), "--changed",
                 "--format=sarif"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["runs"][0]["results"] == []

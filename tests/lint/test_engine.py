@@ -12,6 +12,8 @@ diagnostic-free (fixed or explicitly suppressed), or the gate is lying.
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import (
     Diagnostic,
     Policy,
@@ -144,9 +146,16 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert run(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("DET01", "DET02", "NUM01", "IO01", "MP01", "SUP01",
-                 "MP02", "MP03", "RES02", "SIG01", "ASY01"):
-        assert rule in out
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "DET01", "DET02", "NUM01", "IO01", "MP01", "EXC01", "UNIT03",
+        "DET03", "DET04", "SUP01"]
+
+
+@pytest.mark.parametrize("flag", ["--no-cache", "--cache-file=x.json"])
+def test_cli_rejects_removed_modes(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([flag, str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_shipped_repository_is_diagnostic_free():

@@ -1,13 +1,22 @@
 """Zone policy: module naming, prefix matching, pyproject loading."""
 
+import tomllib
 from pathlib import Path
 
+import pytest
+
+from repro.lint.engine import run
 from repro.lint.policy import (
     Policy,
     RulePolicy,
     find_pyproject,
     load_policy,
 )
+
+
+def _write(path: Path, source: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
 
 
 def test_zone_match_is_prefix_at_dot_boundaries():
@@ -45,26 +54,43 @@ def test_module_name_falls_back_to_config_root(tmp_path):
 
 def test_load_policy_reads_rule_tables_and_paths(tmp_path):
     config = tmp_path / "pyproject.toml"
-    config.write_text(
-        '[tool.replint]\n'
-        'paths = ["src", "tests"]\n'
-        '[tool.replint.rules.DET01]\n'
-        'zones = ["repro.simnet"]\n'
-        'exempt = ["repro.simnet.perfcounters"]\n')
+    config.write_text('[tool.replint]\npaths = ["src", "tests"]\n')
     policy = load_policy(config)
     assert policy.paths == ("src", "tests")
-    det01 = policy.rule_policy("DET01", RulePolicy(zones=("x",)))
-    assert det01.zones == ("repro.simnet",)
-    assert det01.exempt == ("repro.simnet.perfcounters",)
-    # Rules without a table fall back to the supplied default.
-    fallback = RulePolicy(zones=("repro.measure",))
-    assert policy.rule_policy("IO01", fallback) is fallback
+    assert policy.root == tmp_path
+    # A rule table is read only to be refused: zones live on the rules.
+    config.write_text('[tool.replint]\npaths = ["src"]\n'
+                      '[tool.replint.rules.DET01]\n'
+                      'zones = ["repro.simnet"]\n')
+    with pytest.raises(ValueError, match=r"\[tool.replint.rules\]"):
+        load_policy(config)
 
 
 def test_load_policy_without_file_gives_defaults(tmp_path):
-    policy = load_policy(None, start=tmp_path)
-    assert policy.rules == {}
-    assert policy.paths == ("src",)
+    assert load_policy(None, start=tmp_path) == Policy()
+    assert Policy().paths == ("src",)
+
+
+@pytest.mark.parametrize("table", [
+    # A typo in a key ("zone" for "zones") used to read as empty zones
+    # and switch DET01 off without a word.
+    '[tool.replint.rules.DET01]\nzone = ["repro.simnet"]\n',
+    # So did a misspelled rule id (letter O for digit 0).
+    '[tool.replint.rules.DETO1]\nzones = ["repro.simnet"]\n',
+])
+def test_rule_override_tables_fail_the_run(tmp_path, capsys, table):
+    _write(tmp_path / "src/repro/simnet/x.py",
+           "import time\n\ndef stamp():\n    return time.time()\n")
+    config = tmp_path / "pyproject.toml"
+    config.write_text('[tool.replint]\npaths = ["src"]\n')
+    assert run([str(tmp_path / "src")]) == 1  # DET01 fires
+    assert "DET01" in capsys.readouterr().out
+
+    config.write_text('[tool.replint]\npaths = ["src"]\n\n' + table)
+    with pytest.raises(ValueError, match="not supported"):
+        load_policy(config)
+    assert run([str(tmp_path / "src")]) == 2
+    assert "replint: cannot load policy" in capsys.readouterr().out
 
 
 def test_find_pyproject_walks_up(tmp_path):
@@ -76,20 +102,12 @@ def test_find_pyproject_walks_up(tmp_path):
 
 
 def test_repo_pyproject_mirrors_builtin_zone_defaults():
-    """The checked-in [tool.replint] tables must match the rule
-    defaults — the config exists for visibility, not divergence."""
-    from repro.lint.registry import FILE_RULES, PROJECT_RULES
-
+    """The checked-in config carries no zone tables, so every rule runs
+    on exactly the zones written on it."""
     root = Path(__file__).resolve().parents[2]
     policy = load_policy(root / "pyproject.toml")
-    for rule in (*FILE_RULES, *PROJECT_RULES):
-        # The table must be *present* — rule_policy falls back to the
-        # default on a missing table, which would make this test pass
-        # vacuously for any rule someone forgets to mirror.
-        assert rule.rule_id in policy.rules, \
-            f"pyproject.toml has no [tool.replint.rules.{rule.rule_id}]"
-        configured = policy.rule_policy(rule.rule_id, rule.default_policy)
-        assert set(configured.zones) == set(rule.default_policy.zones), \
-            rule.rule_id
-        assert set(configured.exempt) == set(rule.default_policy.exempt), \
-            rule.rule_id
+    assert policy.root == root
+    assert "src" in policy.paths
+    with open(root / "pyproject.toml", "rb") as handle:
+        table = tomllib.load(handle)["tool"]["replint"]
+    assert "rules" not in table

@@ -1,280 +1,18 @@
-"""ATOM01/RES01/EXC01 — the file-handle protocol state machine.
+"""EXC01 — the teardown protocol: no swallowed interrupts.
 
-The interesting cases are path-sensitivity (a fsync on *one* branch is
-not a fsync on *all* branches), exception edges (an error between open
-and close strands the handle), and interprocedural summaries (the
-write or the open happens in a helper two hops down).
+A handler in a supervisor/teardown zone that catches
+``BaseException``/``KeyboardInterrupt`` must re-raise or hard-exit, or
+Ctrl-C stops tearing a campaign down deterministically. The
+file-handle half of the protocol (fsync before rename, no leaked
+handles or processes) is checked at run time in
+``tests/measure/test_io.py`` and ``tests/measure/test_supervise.py``.
 """
 
-import ast
 import textwrap
 from pathlib import Path
 
 from repro.lint import Policy, lint_source
-from repro.lint.callgraph import CallGraph
-from repro.lint.protocol import (
-    AtomicRenameRule,
-    HandleLeakRule,
-    SwallowedInterruptRule,
-)
-
-
-def _graph(tmp_path: Path, files: dict[str, str]) -> CallGraph:
-    modules = []
-    for module, source in files.items():
-        path = tmp_path / (module.replace(".", "/") + ".py")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = textwrap.dedent(source)
-        path.write_text(text)
-        modules.append((module, path, ast.parse(text)))
-    return CallGraph.build(modules)
-
-
-def _atom01(graph):
-    rule = AtomicRenameRule()
-    return list(rule.check_project(graph, rule.default_policy))
-
-
-def _res01(graph):
-    rule = HandleLeakRule()
-    return list(rule.check_project(graph, rule.default_policy))
-
-
-# -- ATOM01 --------------------------------------------------------------
-
-
-def test_atom01_rename_without_fsync_direct(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.measure.publish": """\
-            import os
-
-            def publish(tmp, final, payload):
-                with open(tmp, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp, final)
-        """,
-    })
-    findings = _atom01(graph)
-    assert len(findings) == 1
-    _, finding = findings[0]
-    assert "rename of 'tmp'" in finding.message
-    assert "without a dominating fsync" in finding.message
-    assert finding.line == 6
-
-
-def test_atom01_full_protocol_is_clean(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.measure.publish": """\
-            import os
-
-            def publish(tmp, final, payload):
-                with open(tmp, "wb") as handle:
-                    handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, final)
-        """,
-    })
-    assert _atom01(graph) == []
-
-
-def test_atom01_write_via_two_hop_helper_chain(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.util.raw": """\
-            def write_raw(handle, payload):
-                handle.write(payload)
-        """,
-        "repro.util.stage": """\
-            from repro.util.raw import write_raw
-
-            def stage(handle, payload):
-                write_raw(handle, payload)
-        """,
-        "repro.measure.publish": """\
-            import os
-
-            from repro.util.stage import stage
-
-            def publish(tmp, final, payload):
-                handle = open(tmp, "wb")
-                try:
-                    stage(handle, payload)
-                finally:
-                    handle.close()
-                os.replace(tmp, final)
-        """,
-    })
-    findings = _atom01(graph)
-    assert len(findings) == 1
-    _, finding = findings[0]
-    assert "(written via stage -> write_raw)" in finding.message
-
-
-def test_atom01_fsync_on_one_branch_only_is_flagged(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.measure.publish": """\
-            import os
-
-            def publish(tmp, final, payload, durable):
-                handle = open(tmp, "wb")
-                handle.write(payload)
-                if durable:
-                    os.fsync(handle.fileno())
-                handle.close()
-                os.replace(tmp, final)
-        """,
-    })
-    findings = _atom01(graph)
-    assert len(findings) == 1
-    _, finding = findings[0]
-    assert finding.line == 9  # flagged at the rename
-
-
-def test_atom01_outside_zone_is_ignored(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.web.dump": """\
-            import os
-
-            def dump(tmp, final, payload):
-                with open(tmp, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp, final)
-        """,
-    })
-    assert _atom01(graph) == []
-
-
-def test_atom01_fsync_in_helper_counts(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.util.durable": """\
-            import os
-
-            def sync_out(handle):
-                handle.flush()
-                os.fsync(handle.fileno())
-        """,
-        "repro.measure.publish": """\
-            import os
-
-            from repro.util.durable import sync_out
-
-            def publish(tmp, final, payload):
-                handle = open(tmp, "wb")
-                handle.write(payload)
-                sync_out(handle)
-                handle.close()
-                os.replace(tmp, final)
-        """,
-    })
-    assert _atom01(graph) == []
-
-
-# -- RES01 ---------------------------------------------------------------
-
-
-def test_res01_unclosed_handle_on_all_paths(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.measure.logger": """\
-            def start(path, line):
-                handle = open(path, "ab")
-                handle.write(line)
-        """,
-    })
-    findings = _res01(graph)
-    assert len(findings) == 1
-    _, finding = findings[0]
-    assert "not closed on all paths" in finding.message
-
-
-def test_res01_exception_edge_leak(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.measure.logger": """\
-            def start(path, encode, record):
-                handle = open(path, "ab")
-                handle.write(encode(record))
-                handle.close()
-        """,
-    })
-    findings = _res01(graph)
-    assert len(findings) == 1
-    _, finding = findings[0]
-    assert "leaks on exception edges" in finding.message
-
-
-def test_res01_try_finally_close_is_clean(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.measure.logger": """\
-            def start(path, encode, record):
-                handle = open(path, "ab")
-                try:
-                    handle.write(encode(record))
-                finally:
-                    handle.close()
-        """,
-    })
-    assert _res01(graph) == []
-
-
-def test_res01_with_block_is_clean(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.measure.logger": """\
-            def start(path, encode, record):
-                with open(path, "ab") as handle:
-                    handle.write(encode(record))
-        """,
-    })
-    assert _res01(graph) == []
-
-
-def test_res01_handle_acquired_via_two_hop_helper(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.util.openers": """\
-            def raw_open(path):
-                return open(path, "ab")
-        """,
-        "repro.util.midopen": """\
-            from repro.util.openers import raw_open
-
-            def acquire(path):
-                return raw_open(path)
-        """,
-        "repro.measure.logger": """\
-            from repro.util.midopen import acquire
-
-            def start(path, line):
-                handle = acquire(path)
-                handle.write(line)
-        """,
-    })
-    findings = _res01(graph)
-    assert len(findings) == 1
-    _, finding = findings[0]
-    assert "(acquired via acquire -> raw_open)" in finding.message
-
-
-def test_res01_returning_the_open_handle_is_ownership_transfer(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.measure.logger": """\
-            def start(path):
-                handle = open(path, "ab")
-                return handle
-        """,
-    })
-    assert _res01(graph) == []  # the caller owns it now
-
-
-def test_res01_read_only_handles_are_not_tracked(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.measure.reader": """\
-            def head(path):
-                handle = open(path)
-                return handle.readline()
-        """,
-    })
-    assert _res01(graph) == []  # nothing buffered to lose
-
-
-# -- EXC01 ---------------------------------------------------------------
+from repro.lint.rules import SwallowedInterruptRule
 
 
 def _exc01(source: str, module: str = "repro.measure.supervise"):

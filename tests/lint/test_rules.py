@@ -1,4 +1,4 @@
-"""Per-rule fixture snippets: true positives and false-positive guards.
+"""Per-file rule fixtures: true positives and false-positive guards.
 
 Each case is a minimal module checked under a zone-addressed fake path
 (``src/repro/...`` makes the module name resolve into the rule's zone);
@@ -350,3 +350,4 @@ def test_mp01_outside_its_zones_is_clean():
         def remember(key, value):
             _cache[key] = value
     """, "src/repro/simnet/mod.py") == []
+

@@ -10,7 +10,6 @@ import textwrap
 from pathlib import Path
 
 from repro.lint.callgraph import CallGraph
-from repro.lint.policy import RulePolicy
 from repro.lint.taint import EscapedOrderRule, TransitiveAmbientRule
 
 
@@ -25,14 +24,12 @@ def _graph(tmp_path: Path, files: dict[str, str]) -> CallGraph:
     return CallGraph.build(modules)
 
 
-def _det03(graph, policy=None):
-    rule = TransitiveAmbientRule()
-    return list(rule.check_project(graph, policy or rule.default_policy))
+def _det03(graph):
+    return list(TransitiveAmbientRule().check_project(graph))
 
 
-def _det04(graph, policy=None):
-    rule = EscapedOrderRule()
-    return list(rule.check_project(graph, policy or rule.default_policy))
+def _det04(graph):
+    return list(EscapedOrderRule().check_project(graph))
 
 
 # -- DET03 ---------------------------------------------------------------

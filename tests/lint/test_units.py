@@ -1,19 +1,18 @@
-"""UNIT01/UNIT02/UNIT03 — interprocedural dimensional analysis.
+"""UNIT03 and the dimension algebra behind its suffix table.
 
-Fixtures follow the taint-rule shape: the dimensioned value originates
-one or two call hops away from the arithmetic/binding that misuses it,
-out of reach of any single-module check. The dimension algebra itself
-(lattice laws, composition round-trips, suffix-parser exactness) is
-property-tested in ``test_units_properties.py``; this file pins the
-concrete rule behaviour.
+UNIT03 is a per-file check: a conversion literal (``1000``, ``1e3``,
+``8``, ``125_000``, ...) multiplying or dividing a name, attribute or
+constant subscript key whose suffix declares a physical dimension.
+Cases are pinned at exact ``file:line:col``. The algebra's laws are
+property-tested in ``test_units_properties.py``; this file pins
+concrete cases.
 """
 
-import ast
 import textwrap
 from pathlib import Path
 
-from repro.lint.callgraph import CallGraph
-from repro.lint.units import (
+from repro.lint import Policy, lint_source
+from repro.lint.rules import (
     BITS,
     BYTES,
     BYTES_PER_S,
@@ -23,60 +22,27 @@ from repro.lint.units import (
     TIME_MS,
     TIME_S,
     UNKNOWN,
-    CallBoundaryRule,
-    MagicConversionRule,
-    MixedDimensionRule,
     add_sub,
     div,
     join,
     mul,
     parse_suffix,
-    units_analysis,
 )
 
-
-def _graph(tmp_path: Path, files: dict[str, str]) -> CallGraph:
-    modules = []
-    for module, source in files.items():
-        path = tmp_path / (module.replace(".", "/") + ".py")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = textwrap.dedent(source)
-        path.write_text(text)
-        modules.append((module, path, ast.parse(text)))
-    return CallGraph.build(modules)
+ANALYSIS = Path("src/repro/analysis/mod.py")
+SIMNET = Path("src/repro/simnet/mod.py")
 
 
-def _unit01(graph, policy=None):
-    rule = MixedDimensionRule()
-    return list(rule.check_project(graph, policy or rule.default_policy))
+def diags(source, path=ANALYSIS):
+    return lint_source(textwrap.dedent(source), Path(path), Policy())
 
 
-def _unit02(graph, policy=None):
-    rule = CallBoundaryRule()
-    return list(rule.check_project(graph, policy or rule.default_policy))
+def hits(source, path=ANALYSIS):
+    return [(d.rule, d.line) for d in diags(source, path)]
 
 
-def _unit03(graph, policy=None):
-    rule = MagicConversionRule()
-    return list(rule.check_project(graph, policy or rule.default_policy))
-
-
-#: A minimal stand-in for src/repro/units.py so fixture imports resolve
-#: through the call graph exactly as they do in the real tree.
-_UNITS_MODULE = """\
-    KB = 1e3
-    MS = 1e-3
-    MINUTE = 60.0
-
-    def seconds_to_ms(t):
-        return t * 1000.0
-
-    def ms_to_seconds(t):
-        return t / 1000.0
-
-    def bits(n):
-        return n / 8.0
-"""
+def formatted(source, path=ANALYSIS):
+    return [d.format() for d in diags(source, path)]
 
 
 # -- dimension algebra (concrete cases; laws live in the property file) --
@@ -139,397 +105,106 @@ def test_parse_suffix_guards():
     assert parse_suffix("business") is None  # no underscore boundary
 
 
-# -- UNIT01: mixed-dimension arithmetic/comparison ----------------------
-
-
-def test_unit01_addition_of_seconds_and_milliseconds(tmp_path):
-    graph = _graph(tmp_path, {"repro.simnet.clock": """\
-        def lag(elapsed_s, timeout_ms):
-            return elapsed_s + timeout_ms
-    """})
-    findings = _unit01(graph)
-    assert len(findings) == 1
-    module, finding = findings[0]
-    assert module == "repro.simnet.clock"
-    assert "addition mixes time[s] ('elapsed_s') with time[ms] " \
-        "('timeout_ms')" in finding.message
-    assert "convert one side through repro.units" in finding.message
-
-
-def test_unit01_comparison_of_bytes_and_bits(tmp_path):
-    graph = _graph(tmp_path, {"repro.measure.quota": """\
-        def over(limit_bytes, used_bits):
-            return used_bits > limit_bytes
-    """})
-    findings = _unit01(graph)
-    assert len(findings) == 1
-    assert "comparison mixes data[bits]" in findings[0][1].message
-
-
-def test_unit01_augmented_assignment(tmp_path):
-    graph = _graph(tmp_path, {"repro.measure.acc": """\
-        def tally(total_bytes, chunk_bits):
-            total_bytes += chunk_bits
-            return total_bytes
-    """})
-    findings = _unit01(graph)
-    assert len(findings) == 1
-    assert "augmented addition mixes data[bytes]" in findings[0][1].message
-
-
-def test_unit01_assignment_onto_a_suffixed_name(tmp_path):
-    graph = _graph(tmp_path, {"repro.simnet.bind": """\
-        def record(elapsed_s):
-            duration_ms = elapsed_s
-            return duration_ms
-    """})
-    findings = _unit01(graph)
-    assert len(findings) == 1
-    assert "assignment binds time[s] ('elapsed_s') to 'duration_ms'" \
-        in findings[0][1].message
-
-
-def test_unit01_flows_through_unsuffixed_locals(tmp_path):
-    graph = _graph(tmp_path, {"repro.simnet.flow": """\
-        def lag(elapsed_s, timeout_ms):
-            wait = elapsed_s
-            return wait - timeout_ms
-    """})
-    findings = _unit01(graph)
-    assert len(findings) == 1
-    assert "subtraction mixes time[s] ('elapsed_s')" \
-        in findings[0][1].message
-
-
-def test_unit01_clock_reads_are_seconds(tmp_path):
-    graph = _graph(tmp_path, {"repro.measure.timer": """\
-        import time
-
-        def overdue(deadline_ms):
-            start = time.perf_counter()
-            return start > deadline_ms
-    """})
-    findings = _unit01(graph)
-    assert len(findings) == 1
-    assert "time[s] (time.perf_counter())" in findings[0][1].message
-
-
-def test_unit01_dict_string_keys_carry_suffix_dims(tmp_path):
-    graph = _graph(tmp_path, {"repro.analysis.rows": """\
-        def slack(row, timeout_ms):
-            return timeout_ms - row["duration_s"]
-    """})
-    findings = _unit01(graph)
-    assert len(findings) == 1
-    assert "time[s] (key 'duration_s')" in findings[0][1].message
-
-
-def test_unit01_clean_code_is_clean(tmp_path):
-    graph = _graph(tmp_path, {"repro.simnet.ok": """\
-        def eta_s(remaining_bytes, rate_bps, grace_s):
-            transfer_s = remaining_bytes / rate_bps
-            return transfer_s + grace_s + 0.25
-
-        def pace(total_bytes, n_count):
-            per = total_bytes / n_count
-            return per - total_bytes / (n_count + 1)
-
-        def loops(xs_s):
-            total = 0.0
-            for i, x_s in enumerate(xs_s):
-                total += x_s
-            return total
-    """})
-    assert _unit01(_graph(tmp_path / "g2", {})) == []
-    assert _unit01(graph) == []
-    assert _unit02(graph) == []
-    assert _unit03(graph) == []
-
-
-def test_unit01_unknown_operands_never_fire(tmp_path):
-    graph = _graph(tmp_path, {"repro.simnet.quiet": """\
-        def mix(elapsed_s, other):
-            return elapsed_s + other
-    """})
-    assert _unit01(graph) == []
-
-
-def test_unit01_zone_filtering(tmp_path):
-    graph = _graph(tmp_path, {"repro.cli.helper": """\
-        def lag(elapsed_s, timeout_ms):
-            return elapsed_s + timeout_ms
-    """})
-    assert _unit01(graph) == []  # repro.cli is not a UNIT zone
-
-
-# -- UNIT02: dimension mismatches across call edges ---------------------
-
-
-def test_unit02_positional_argument(tmp_path):
-    graph = _graph(tmp_path, {"repro.simnet.sched": """\
-        def wait_for(kernel, timeout_s):
-            kernel.advance(timeout_s)
-
-        def step(kernel, budget_ms):
-            wait_for(kernel, budget_ms)
-    """})
-    findings = _unit02(graph)
-    assert len(findings) == 1
-    message = findings[0][1].message
-    assert "argument is time[ms] ('budget_ms')" in message
-    assert "parameter 'timeout_s' of 'wait_for' " \
-        "(repro.simnet.sched:1) is time[s]" in message
-    assert "convert at the call boundary with repro.units" in message
-
-
-def test_unit02_keyword_argument(tmp_path):
-    graph = _graph(tmp_path, {"repro.simnet.kw": """\
-        def wait_for(kernel, timeout_s=1.0):
-            kernel.advance(timeout_s)
-
-        def step(kernel, budget_ms):
-            wait_for(kernel, timeout_s=budget_ms)
-    """})
-    findings = _unit02(graph)
-    assert len(findings) == 1
-    assert "parameter 'timeout_s'" in findings[0][1].message
-
-
-def test_unit02_two_hop_provenance_chain(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.util.convert": """\
-            def elapsed_ms(start_s, end_s):
-                return (end_s - start_s) * 1000.0
-        """,
-        "repro.util.fetchtime": """\
-            from repro.util.convert import elapsed_ms
-
-            def fetch_elapsed(trace):
-                return elapsed_ms(trace.start_s, trace.end_s)
-        """,
-        "repro.simnet.sched": """\
-            from repro.util.fetchtime import fetch_elapsed
-
-            def wait_for(kernel, timeout_s):
-                kernel.advance(timeout_s)
-
-            def step(kernel, trace):
-                wait_for(kernel, fetch_elapsed(trace))
-        """,
-    })
-    findings = _unit02(graph)
-    assert len(findings) == 1
-    module, finding = findings[0]
-    assert module == "repro.simnet.sched"
-    assert (finding.line, finding.col) == (7, 21)
-    assert "declared by suffix '_ms' on 'elapsed_ms' " \
-        "(repro.util.convert:1)" in finding.message
-    assert "via step -> fetch_elapsed -> elapsed_ms" in finding.message
-
-
-def test_unit02_method_calls_skip_the_self_parameter(tmp_path):
-    graph = _graph(tmp_path, {"repro.simnet.meth": """\
-        class Kernel:
-            def advance(self, delta_s):
-                self.now_s = self.now_s + delta_s
-
-        def run(lag_ms):
-            kernel = Kernel()
-            kernel.advance(lag_ms)
-    """})
-    findings = _unit02(graph)
-    assert len(findings) == 1
-    assert "parameter 'delta_s' of 'Kernel.advance'" \
-        in findings[0][1].message
-
-
-def test_unit02_units_helper_double_conversion(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.units": _UNITS_MODULE,
-        "repro.analysis.agg": """\
-            from repro.units import seconds_to_ms
-
-            def render(duration_ms):
-                return seconds_to_ms(duration_ms)
-        """,
-    })
-    findings = _unit02(graph)
-    assert len(findings) == 1
-    message = findings[0][1].message
-    assert "argument to repro.units.seconds_to_ms() is time[ms]" in message
-    assert "this double-converts" in message
-
-
-def test_unit02_parameter_default(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.units": _UNITS_MODULE,
-        "repro.measure.cfg": """\
-            from repro.units import MINUTE
-
-            def probe(url, timeout_ms=2 * MINUTE):
-                return url, timeout_ms
-        """,
-    })
-    findings = _unit02(graph)
-    assert len(findings) == 1
-    message = findings[0][1].message
-    assert "default for parameter 'timeout_ms' (time[ms]) is time[s]" \
-        in message
-
-
-def test_unit02_dataclass_field_keyword(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro.core.rec": """\
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class Sample:
-                url: str
-                delay_ms: float
-        """,
-        "repro.measure.build": """\
-            from repro.core.rec import Sample
-
-            def sample(url, elapsed_s):
-                return Sample(url=url, delay_ms=elapsed_s)
-        """,
-    })
-    findings = _unit02(graph)
-    assert len(findings) == 1
-    message = findings[0][1].message
-    assert "field 'delay_ms' of 'Sample' (repro.core.rec:4)" in message
-    assert "convert at the construction site" in message
-
-
-def test_unit02_matching_dimensions_are_clean(tmp_path):
-    graph = _graph(tmp_path, {"repro.simnet.ok": """\
-        def wait_for(kernel, timeout_s):
-            kernel.advance(timeout_s)
-
-        def step(kernel, grace_s, budget):
-            wait_for(kernel, grace_s)
-            wait_for(kernel, budget)
-            wait_for(kernel, 0.25)
-    """})
-    assert _unit02(graph) == []
-
-
 # -- UNIT03: bare magic-number conversions ------------------------------
 
 
-def test_unit03_seconds_times_1000(tmp_path):
-    graph = _graph(tmp_path, {"repro.analysis.fmt": """\
+def test_unit03_seconds_times_1000():
+    assert formatted("""\
         def to_ms(duration_s):
             return duration_s * 1000.0
-    """})
-    findings = _unit03(graph)
-    assert len(findings) == 1
-    message = findings[0][1].message
-    assert "bare conversion '* 1000.0' applied to time[s] " \
-        "('duration_s')" in message
-    assert "use repro.units.seconds_to_ms" in message
+    """) == [
+        "src/repro/analysis/mod.py:2:11: UNIT03 bare conversion "
+        "'* 1000.0' applied to time[s] ('duration_s') — use "
+        "repro.units.seconds_to_ms"]
 
 
-def test_unit03_bits_divided_by_8(tmp_path):
-    graph = _graph(tmp_path, {"repro.tor.cell": """\
+def test_unit03_literal_on_the_left_and_ms_to_seconds():
+    assert formatted("""\
+        def to_s(elapsed_ms):
+            return 1e-3 * elapsed_ms
+
+        def also_to_s(elapsed_ms):
+            return elapsed_ms / 1e3
+    """, SIMNET) == [
+        "src/repro/simnet/mod.py:2:11: UNIT03 bare conversion "
+        "'* 0.001' applied to time[ms] ('elapsed_ms') — use "
+        "repro.units.ms_to_seconds",
+        "src/repro/simnet/mod.py:5:11: UNIT03 bare conversion "
+        "'/ 1000.0' applied to time[ms] ('elapsed_ms') — use "
+        "repro.units.ms_to_seconds"]
+
+
+def test_unit03_bits_divided_by_8():
+    assert formatted("""\
         def payload(n_bits):
             return n_bits / 8
-    """})
-    findings = _unit03(graph)
-    assert len(findings) == 1
-    assert "use repro.units.bits" in findings[0][1].message
+    """, "src/repro/tor/cell.py") == [
+        "src/repro/tor/cell.py:2:11: UNIT03 bare conversion '/ 8' "
+        "applied to data[bits] ('n_bits') — use repro.units.bits"]
 
 
-def test_unit03_rate_prefix_hint(tmp_path):
-    graph = _graph(tmp_path, {"repro.simnet.caps": """\
+def test_unit03_rate_prefix_hint():
+    assert formatted("""\
         def widen(rate_bps):
             return rate_bps * 125000
-    """})
-    findings = _unit03(graph)
-    assert len(findings) == 1
-    assert "use repro.units.kbit/mbit/gbit" in findings[0][1].message
+    """, "src/repro/simnet/caps.py") == [
+        "src/repro/simnet/caps.py:2:11: UNIT03 bare conversion "
+        "'* 125000' applied to rate[bytes/s] ('rate_bps') — use "
+        "repro.units.kbit/mbit/gbit"]
+
+
+def test_unit03_attributes_and_constant_keys():
+    assert formatted("""\
+        def widen(link, row):
+            a = link.rate_bps * 125_000
+            b = row["total_bytes"] // 1_000_000
+            return a, b
+    """, "src/repro/simnet/caps.py") == [
+        "src/repro/simnet/caps.py:2:8: UNIT03 bare conversion "
+        "'* 125000' applied to rate[bytes/s] ('rate_bps') — use "
+        "repro.units.kbit/mbit/gbit",
+        "src/repro/simnet/caps.py:3:8: UNIT03 bare conversion "
+        "'/ 1000000' applied to data[bytes] ('total_bytes') — use "
+        "repro.units.MB/GB or mbytes"]
 
 
 def test_unit03_fires_in_benchmarks(tmp_path):
-    graph = _graph(tmp_path, {"benchmarks.bench_fmt": """\
-        def show(wall_s):
-            return wall_s * 1000.0
-    """})
-    assert len(_unit03(graph)) == 1
+    # Module level counts too: there is no enclosing function.
+    source = "WALL_S = 2.0\nWALL_MS = WALL_S * 1000\n"
+    policy = Policy(root=tmp_path)
+    found = lint_source(source, tmp_path / "benchmarks" / "bench_fmt.py",
+                        policy)
+    assert [(d.rule, d.line) for d in found] == [("UNIT03", 2)]
 
 
-def test_unit03_repro_units_is_exempt(tmp_path):
-    graph = _graph(tmp_path, {"repro.units": _UNITS_MODULE})
-    assert _unit03(graph) == []
+def test_unit03_repro_units_is_exempt():
+    # repro.units is no UNIT03 zone: it implements the conversions.
+    assert hits("""\
+        def seconds_to_ms(t_s):
+            return t_s * 1000.0
+    """, "src/repro/units.py") == []
 
 
-def test_unit03_dimensionless_operands_are_clean(tmp_path):
-    graph = _graph(tmp_path, {"repro.analysis.scale": """\
-        def permille(fraction):
-            return fraction * 1000.0
-
-        def reseed(seed_count):
-            return seed_count * 1000
-    """})
-    assert _unit03(graph) == []
-
-
-def test_unit03_result_dimension_feeds_unit01(tmp_path):
-    # duration_s * 1000.0 is modeled as ms, so comparing the product
-    # against a seconds deadline is also a UNIT01 mix.
-    graph = _graph(tmp_path, {"repro.simnet.chain": """\
-        def late(duration_s, deadline_s):
-            return duration_s * 1000.0 > deadline_s
-    """})
-    assert len(_unit03(graph)) == 1
-    findings = _unit01(graph)
-    assert len(findings) == 1
-    assert "comparison mixes time[ms]" in findings[0][1].message
+def test_unit03_dimensionless_operands_are_clean():
+    assert hits("""\
+        def permille(fraction, seed_count, hazard_per_s, n):
+            a = fraction * 1000.0
+            b = seed_count * 1000
+            c = hazard_per_s * 1000
+            d = n * 8
+            return a, b, c, d
+    """) == []
 
 
-# -- summaries ----------------------------------------------------------
+def test_unit03_literal_divided_by_a_name_is_not_a_conversion():
+    assert hits("""\
+        def rate(total_s):
+            return 1000 / total_s
+    """) == []
 
 
-def test_summaries_declared_by_function_name_suffix(tmp_path):
-    graph = _graph(tmp_path, {"repro.util.convert": """\
-        def elapsed_ms(start_s, end_s):
-            return (end_s - start_s) * 1000.0
-    """})
-    analysis = units_analysis(graph)
-    summary = analysis.summaries["repro.util.convert.elapsed_ms"]
-    assert summary.dim == TIME_MS
-    assert "declared by suffix '_ms'" in summary.desc
-
-
-def test_summaries_inferred_from_consistent_returns(tmp_path):
-    graph = _graph(tmp_path, {"repro.util.pick": """\
-        def shortest(a_s, b_s):
-            if a_s < b_s:
-                return a_s
-            return b_s
-    """})
-    analysis = units_analysis(graph)
-    assert analysis.summaries["repro.util.pick.shortest"].dim == TIME_S
-
-
-def test_summaries_skip_generators_and_mixed_returns(tmp_path):
-    graph = _graph(tmp_path, {"repro.util.gen": """\
-        def ticks(until_s):
-            yield until_s
-
-        def either(flag, a_s, b_bytes):
-            if flag:
-                return a_s
-            return b_bytes
-    """})
-    analysis = units_analysis(graph)
-    assert "repro.util.gen.ticks" not in analysis.summaries
-    assert "repro.util.gen.either" not in analysis.summaries
-
-
-def test_analysis_is_cached_per_graph(tmp_path):
-    graph = _graph(tmp_path, {"repro.simnet.one": """\
-        def f(x_s):
-            return x_s
-    """})
-    assert units_analysis(graph) is units_analysis(graph)
+def test_unit03_non_conversion_factors_are_clean():
+    assert hits("""\
+        def half(duration_s, size_bytes):
+            return duration_s * 0.5, size_bytes * 3
+    """) == []

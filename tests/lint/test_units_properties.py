@@ -1,16 +1,16 @@
-"""Property tests for the UNIT dimension algebra and suffix parser.
+"""Property tests for the dimension algebra and suffix parser.
 
-The lattice and composition tables in :mod:`repro.lint.units` are the
-soundness core of UNIT01/02/03: a broken algebraic law would let a
-mixed-dimension value slip through (or fire on clean code) anywhere in
-the tree. Hypothesis checks the laws over the whole lattice instead of
-the handful of concrete cases in ``test_units.py``.
+The suffix table in :mod:`repro.lint.rules` decides which names UNIT03
+treats as dimensioned, and the algebra written down next to it states
+what each suffix means under arithmetic. Hypothesis checks the laws
+over the whole lattice instead of the handful of concrete cases in
+``test_units.py``.
 """
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.lint.units import (
+from repro.lint.rules import (
     _SUFFIXES,
     ALL_DIMS,
     S_PER_MS,

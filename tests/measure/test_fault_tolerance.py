@@ -84,6 +84,24 @@ def test_hang_fault_is_reaped_by_timeout_and_retried(tmp_path):
     assert not outcome.failed
 
 
+def test_crash_faulted_campaign_is_pickle_safe_under_spawn(tmp_path,
+                                                         monkeypatch):
+    # Under spawn every Process target, argument and pipe payload is
+    # pickled, so a lambda runner or an unpicklable payload fails here
+    # even though the default fork start method would hide it.
+    import multiprocessing
+
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: spawn)
+    spec = _matrix_spec(seeds=(3, 4))
+    plan = faults.FaultPlan(faults=((0, 0, faults.CRASH),))
+    outcome = ParallelCampaign(spec, workers=2, spool_dir=tmp_path / "sp",
+                               retry=_EAGER, fault_plan=plan).run()
+    assert outcome.load_merged().records == _clean_records(spec)
+    assert outcome.execution["worker_crashes"] == 1
+    assert outcome.execution["workers_spawned"] == 3
+
+
 def test_partial_write_leaves_no_torn_bytes_in_merge(tmp_path):
     """The torn half-shard at the final path is overwritten by the
     retry's atomic write — record counts and bytes are exact."""

@@ -1,5 +1,7 @@
 """Round-trip tests for result-set persistence."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -350,3 +352,59 @@ def test_atomic_shard_writer_abort_leaves_no_artifact(tmp_path):
     writer.abort()
     assert not target.exists()
     writer.abort()  # idempotent
+
+
+class _RecordingOS:
+    """``os`` for repro.measure.io that logs fsync/replace in order.
+
+    Each event carries the inode it touched, so the test can tell that
+    the fd fsynced is the very file the rename publishes.
+    """
+
+    def __init__(self):
+        self.events = []
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def fsync(self, fd):
+        self.events.append(("fsync", os.fstat(fd).st_ino))
+        os.fsync(fd)
+
+    def replace(self, src, dst):
+        self.events.append(("replace", os.stat(src).st_ino))
+        os.replace(src, dst)
+
+
+def _publish_with_write_shard(path):
+    from repro.measure.io import write_shard
+
+    write_shard(sample_results(), path)
+
+
+def _publish_with_atomic_writer(path):
+    from repro.measure.io import AtomicShardWriter
+
+    writer = AtomicShardWriter(path)
+    writer.write('{"a": 1}\n')
+    writer.commit()
+
+
+@pytest.mark.parametrize("publish", [_publish_with_write_shard,
+                                     _publish_with_atomic_writer])
+def test_publishers_fsync_the_tmp_file_before_replacing_it(
+        tmp_path, monkeypatch, publish):
+    """The durability half of the crash contract, checked at run time.
+
+    These two are the only rename sites in repro.measure (IO01 keeps
+    every other writable open out of the layer): each must fsync the
+    tmp file's fd, and only then os.replace that same file into place.
+    """
+    import repro.measure.io as measure_io
+
+    recorder = _RecordingOS()
+    monkeypatch.setattr(measure_io, "os", recorder)
+    target = tmp_path / "shard.jsonl"
+    publish(target)
+    inode = os.stat(target).st_ino
+    assert recorder.events == [("fsync", inode), ("replace", inode)]

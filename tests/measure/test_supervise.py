@@ -7,6 +7,7 @@ by wall-clock or shared mutable state.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -197,8 +198,6 @@ def test_spawn_failure_mid_window_closes_both_pipe_ends(monkeypatch):
     # A Process() that fails between Pipe() and registration in the
     # running table leaves nothing for the outer teardown to see; the
     # spawn loop itself must close both ends before re-raising.
-    import multiprocessing
-
     ctx = _SpawnRefusingContext(multiprocessing.get_context())
     monkeypatch.setattr(multiprocessing, "get_context", lambda: ctx)
     with pytest.raises(OSError, match="spawn refused"):
@@ -206,6 +205,65 @@ def test_spawn_failure_mid_window_closes_both_pipe_ends(monkeypatch):
     assert len(ctx.pipes) == 1  # the raise stops the spawn loop
     recv_end, send_end = ctx.pipes[0]
     assert recv_end.closed and send_end.closed
+
+
+# ---------------------------------------------------------------------------
+# process and pipe lifecycle: nothing outlives Supervisor.run()
+# ---------------------------------------------------------------------------
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _reject_first_attempt(job, payload):
+    return "corrupt shard (test)" if payload["attempt"] == 0 else None
+
+
+_EAGER = RetryPolicy(retries=2, backoff_base_s=0.0)
+_LIFECYCLE_CASES = {
+    "ok": dict(fn=ok_runner),
+    "error": dict(fn=fail_first_runner, policy=_EAGER),
+    "crash": dict(fn=crash_first_runner, policy=_EAGER),
+    "hang": dict(fn=ok_runner,
+                 fault_plan=faults.FaultPlan(faults=((0, 0, faults.HANG),)),
+                 policy=RetryPolicy(retries=1, unit_timeout_s=0.5,
+                                    backoff_base_s=0.0)),
+    "verify": dict(fn=ok_runner, policy=_EAGER,
+                   verify=_reject_first_attempt),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LIFECYCLE_CASES))
+def test_process_mode_leaves_no_fds_or_children(kind):
+    # Every attempt opens a Pipe and a Process; whatever the way the
+    # attempt ends, both must be gone when run() returns.
+    case = dict(_LIFECYCLE_CASES[kind])
+    fn = case.pop("fn")
+    assert multiprocessing.active_children() == []
+    before = _open_fds()
+    result = Supervisor(fn, _jobs(3), workers=2, **case).run()
+    assert sorted(result.payloads) == [0, 1, 2]
+    assert _open_fds() == before
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_mid_campaign_tears_down_in_flight_workers():
+    # Unit 0 hangs with no timeout in reach; unit 1's completion raises
+    # KeyboardInterrupt from on_success. The teardown must kill the
+    # hung sibling and close its pipe before the interrupt propagates.
+    def interrupt(job, payload, attempts):
+        raise KeyboardInterrupt
+
+    plan = faults.FaultPlan(faults=((0, 0, faults.HANG),))
+    policy = RetryPolicy(retries=0, unit_timeout_s=60.0)
+    assert multiprocessing.active_children() == []
+    before = _open_fds()
+    with pytest.raises(KeyboardInterrupt):
+        Supervisor(ok_runner, _jobs(2), workers=2, policy=policy,
+                   fault_plan=plan, on_success=interrupt).run()
+    assert _open_fds() == before
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
