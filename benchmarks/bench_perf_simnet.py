@@ -10,7 +10,7 @@ Two scenarios pin the allocator work:
   5x here.
 * **churn storm** — start/abort/complete storms through the full
   :class:`FluidNetwork`, exercising epoch batching, per-class progress
-  accounting, and the per-class min-ETA scheduler on top of the
+  accounting, and per-class completion scheduling on top of the
   allocator itself.
 
 Perf-counter totals are printed with each benchmark so regressions in

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +224,6 @@ def group_flat(codes, values, n_groups: int,
     return flat, starts
 
 
-def group_values(codes, values, n_groups: int) -> list[list[float]]:
-    """Per-group value lists (record order preserved within a group)."""
-    flat, starts = group_flat(codes, values, n_groups)
-    return [flat[starts[g]:starts[g + 1]] for g in range(n_groups)]
-
-
 def group_sorted_flat(codes, values, n_groups: int,
                       ) -> tuple[list[float], list[int]]:
     """:func:`group_flat` with every group's slice sorted ascending.
@@ -241,14 +235,6 @@ def group_sorted_flat(codes, values, n_groups: int,
         flat[starts[g]:starts[g + 1]] = \
             sorted(flat[starts[g]:starts[g + 1]])
     return flat, starts
-
-
-def group_means(codes, values, n_groups: int) -> list[Optional[float]]:
-    """Per-group exactly-rounded means (None for empty groups)."""
-    flat, starts = group_flat(codes, values, n_groups)
-    return [math.fsum(flat[starts[g]:starts[g + 1]]) /
-            (starts[g + 1] - starts[g]) if starts[g + 1] > starts[g] else None
-            for g in range(n_groups)]
 
 
 def group_counts(codes, n_groups: int) -> list[int]:

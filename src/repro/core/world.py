@@ -101,9 +101,8 @@ def reset_world_tracking() -> None:
     and banking into it keeps the child's last World alive. Unit
     payloads carry their perf summaries explicitly instead.
 
-    This is the dominating-reset pattern replint's MP03 fork-hygiene
-    rule checks for: a ``global``-rebinding ``reset_*`` call sequenced
-    before the first use of the state inside every child entry point.
+    ``tests/measure/test_parallel.py::test_child_entry_resets_inherited_tracker``
+    checks that a child entry point calls it before running its unit.
     """
     global _tracked_worlds
     # replint: allow[MP01] -- this *is* the fork-hygiene reset hook

@@ -20,11 +20,12 @@ Two implementations compute the same mathematical allocation:
   ``(path, weight)`` signature are collapsed into a *flow class*
   maintained incrementally as flows join and leave (campaigns reuse the
   same circuit path for repetitions and background traffic, so C
-  classes is usually far smaller than F flows). Per-resource weight
-  aggregates are likewise maintained at join/leave time, and the
-  bottleneck of each water-filling round is popped from a share-ordered
-  heap with lazy invalidation instead of an O(R) scan. One reallocation
-  is O(C log R) plus the O(F) rate fan-out — no per-event rebuild.
+  classes is usually far smaller than F flows), and so are the
+  per-resource weight totals, so no allocation rebuilds state from the
+  flow population. A lone class — the shape every experiment produces —
+  is solved directly as the smallest share on its path; several classes
+  go through the water-filling loop, whose rounds scan the resources
+  that still carry unfrozen classes for the bottleneck.
   :func:`compute_fair_rates` is its stateless one-shot form.
 * :func:`compute_fair_rates_reference` — the original textbook loop.
   Every call rebuilds all per-resource state and every round re-scans
@@ -42,6 +43,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Mapping, Optional
 
+from repro.errors import SimulationError
 from repro.simnet.flow import Flow
 from repro.simnet.perfcounters import PerfCounters
 from repro.simnet.resource import Resource
@@ -141,15 +143,16 @@ class FlowClass:
     in O(classes), not O(flows)). A member joining at service level
     ``s0`` with ``r`` bytes left completes exactly when ``service``
     reaches ``s0 + r`` — its *finish service* — so ``finish_heap``
-    (entries ``(finish_service, fid, flow)``, lazily invalidated) yields
-    the class's next completion independent of how rates change.
+    (entries ``(finish_service, fid, flow)``) yields the class's next
+    completion independent of how rates change. Entries of members that
+    have left the class are dropped lazily.
     """
 
     __slots__ = ("key", "weight", "members", "res_mults", "frozen_epoch",
-                 "rate", "csn", "service", "finish_heap", "seen_rate")
+                 "rate", "service", "finish_heap", "seen_rate")
 
     def __init__(self, key: tuple, weight: float,
-                 res_mults: list[tuple[int, int]], csn: int = 0) -> None:
+                 res_mults: list[tuple[int, int]]) -> None:
         self.key = key
         self.weight = weight
         self.members: set[Flow] = set()
@@ -159,52 +162,40 @@ class FlowClass:
         self.res_mults = res_mults
         self.frozen_epoch = -1
         self.rate = 0.0
-        # Deterministic creation serial: the run-stable tiebreak for
-        # class-keyed heaps (classes hash by identity, which varies
-        # between processes).
-        self.csn = csn
         self.service = 0.0
         self.finish_heap: list[tuple[float, int, Flow]] = []
         # Last rate fanned out by the owning network (change detection).
         self.seen_rate = -1.0
-
-    def _entry_stale(self, finish: float, flow: Flow) -> bool:
-        """A heap entry is stale when its member left the class, or its
-        threshold was rebased by a ``remaining`` write and no longer
-        matches ``_service_offset + _remaining``."""
-        return (flow._acct is not self
-                or flow._service_offset + flow._remaining != finish)
 
     def next_finish_service(self) -> float:
         """Smallest live member finish-service level (inf if none)."""
         heap = self.finish_heap
         while heap:
             finish, _fid, flow = heap[0]
-            if self._entry_stale(finish, flow):
-                heapq.heappop(heap)
-                continue
-            return finish
+            if flow._acct is self:
+                return finish
+            heapq.heappop(heap)  # the member has left the class
         return float("inf")
 
     def pop_finished(self, slack: float) -> list[Flow]:
         """Pop every member within ``slack`` bytes of completion.
 
         Members come off the finish heap in (finish service, fid) order;
-        stale entries are dropped along the way.
+        entries of members that have left the class are dropped along
+        the way.
         """
         done: list[Flow] = []
         heap = self.finish_heap
         service = self.service
         while heap:
             finish, _fid, flow = heap[0]
-            if self._entry_stale(finish, flow):
+            if flow._acct is not self:
                 heapq.heappop(heap)
-                continue
-            if finish - service <= slack:
+            elif finish - service <= slack:
                 heapq.heappop(heap)
                 done.append(flow)
-                continue
-            break
+            else:
+                break
         return done
 
 
@@ -227,7 +218,7 @@ class FairShareAllocator:
 
     __slots__ = ("_classes", "_class_of", "_resources", "_total_weight",
                  "_classes_at", "_epoch", "_n_flows", "_track_progress",
-                 "counters", "_csn")
+                 "counters")
 
     def __init__(self, *, track_progress: bool = False,
                  counters: Optional[PerfCounters] = None) -> None:
@@ -242,14 +233,9 @@ class FairShareAllocator:
         self._n_flows = 0
         self._track_progress = track_progress
         self.counters = counters
-        self._csn = 0
 
     def __len__(self) -> int:
         return self._n_flows
-
-    @property
-    def n_classes(self) -> int:
-        return len(self._classes)
 
     def classes(self) -> Iterable[FlowClass]:
         """Live flow classes (the O(C) iteration unit for accounting)."""
@@ -261,12 +247,14 @@ class FairShareAllocator:
     # -- membership -----------------------------------------------------
 
     def add_flow(self, flow: Flow) -> FlowClass:
-        """Register an active flow (O(path) amortized); returns its class."""
-        path = flow.path
-        if len(path) == 1:  # single-hop signature: skip the tuple build
-            key = (path[0].rid, flow.weight)
-        else:
-            key = (tuple([res.rid for res in path]), flow.weight)
+        """Register an active flow (O(path) amortized); returns its class.
+
+        Raises :class:`~repro.errors.SimulationError` if the flow is
+        already registered: its weight would count twice.
+        """
+        if flow in self._class_of:
+            raise SimulationError(f"flow #{flow.fid} is already registered")
+        key = (tuple([res.rid for res in flow.path]), flow.weight)
         cls = self._classes.get(key)
         if cls is None:
             mults: dict[int, int] = {}
@@ -277,10 +265,8 @@ class FairShareAllocator:
                     self._resources[rid] = res
                     self._total_weight[rid] = 0.0
                     self._classes_at[rid] = {}
-            self._csn += 1
             cls = self._classes[key] = FlowClass(key, flow.weight,
-                                                 list(mults.items()),
-                                                 csn=self._csn)
+                                                 list(mults.items()))
             for rid, _mult in cls.res_mults:
                 self._classes_at[rid][cls] = None
         cls.members.add(flow)
@@ -337,8 +323,7 @@ class FairShareAllocator:
     def allocate(self, counters: Optional[PerfCounters] = None,
                  ) -> Iterable[FlowClass]:
         """Run one water-filling pass; returns the classes with their
-        per-member ``rate`` set. Cost is O(C log R) plus heap
-        bookkeeping."""
+        per-member ``rate`` set."""
         if counters is None:
             counters = self.counters
         self._epoch += 1
@@ -370,41 +355,28 @@ class FairShareAllocator:
 
         resources = self._resources
         classes_at = self._classes_at
-        residual: dict[int, float] = {}
-        live_weight: dict[int, float] = {}
-        live_count: dict[int, int] = {}
-        heap: list[tuple[float, int]] = []
-        latest: dict[int, float] = {}
-        for rid, res in resources.items():
-            residual[rid] = res.capacity_bps
-            live_weight[rid] = self._total_weight[rid]
-            live_count[rid] = len(classes_at[rid])
-            share = res.capacity_bps / (live_weight[rid]
-                                        + res.background_load)
-            latest[rid] = share
-            heap.append((share, rid))
-        heapq.heapify(heap)
+        residual = {rid: res.capacity_bps for rid, res in resources.items()}
+        live_weight = dict(self._total_weight)
+        # Unfrozen classes per resource. A resource leaves the map when
+        # its last class freezes, so the map empties with the last round.
+        live_count = {rid: len(at) for rid, at in classes_at.items()}
 
         # Throughout, ``x if x > 0.0 else 0.0`` is the inlined (and
         # bit-identical) form of ``max(0.0, x)`` — the clamps sit on the
         # hottest arithmetic in the engine.
-        unfrozen = len(classes)
         rounds = 0
-        while unfrozen and heap:
-            share, rid = heapq.heappop(heap)
-            if latest.get(rid) != share or live_count[rid] == 0:
-                continue  # stale entry or exhausted resource
-            del latest[rid]
+        while live_count:
+            # The bottleneck: the smallest share, ties to the smallest rid.
+            share, rid = min(
+                (residual[r] / (live_weight[r] + resources[r].background_load),
+                 r) for r in live_count)
             rounds += 1
-
-            touched: dict[int, None] = {}
             for cls in classes_at[rid]:
                 if cls.frozen_epoch == epoch:
                     continue
                 cls.frozen_epoch = epoch
                 rate = share * cls.weight
                 cls.rate = rate
-                unfrozen -= 1
                 n = len(cls.members)
                 agg_weight = cls.weight * n
                 agg_rate = rate * n
@@ -413,18 +385,10 @@ class FairShareAllocator:
                     residual[rid2] = value if value > 0.0 else 0.0
                     value = live_weight[rid2] - agg_weight
                     live_weight[rid2] = value if value > 0.0 else 0.0
-                    live_count[rid2] -= 1
-                    if rid2 != rid:
-                        touched[rid2] = None
-
-            for rid2 in touched:
-                if live_count[rid2] == 0:
-                    latest.pop(rid2, None)
-                    continue
-                fresh = residual[rid2] / (
-                    live_weight[rid2] + resources[rid2].background_load)
-                latest[rid2] = fresh
-                heapq.heappush(heap, (fresh, rid2))
+                    if live_count[rid2] == 1:
+                        del live_count[rid2]
+                    else:
+                        live_count[rid2] -= 1
 
         if counters is not None:
             counters.reallocations += 1
@@ -443,10 +407,11 @@ def compute_fair_rates(flows: Iterable[Flow], *,
     keeps a persistent allocator instead of paying this per-call build.
     Background load on a resource participates in every round of the
     water-filling at its weight, so real flows on a busy resource get
-    proportionally less.
+    proportionally less. A flow listed more than once counts once, as
+    in :func:`compute_fair_rates_reference`.
     """
     allocator = FairShareAllocator()
-    for flow in flows:
+    for flow in dict.fromkeys(flows):
         if flow.is_active:
             allocator.add_flow(flow)
     rates: dict[Flow, float] = {}

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -84,18 +83,6 @@ class Flow:
         left = self._remaining - (cls.service - self._service_offset)
         return left if left > 0.0 else 0.0
 
-    @remaining.setter
-    def remaining(self, value: float) -> None:
-        cls = self._acct
-        self._remaining = value
-        if cls is not None:
-            # Rebase against the current class service so a read returns
-            # exactly ``value`` now, and re-register the completion
-            # threshold (the old finish-heap entry goes stale).
-            self._service_offset = cls.service
-            heapq.heappush(cls.finish_heap,
-                           (cls.service + value, self.fid, self))
-
     @property
     def rate_bps(self) -> float:
         """Current assigned rate: the class rate while bound."""
@@ -114,14 +101,6 @@ class Flow:
     @property
     def is_active(self) -> bool:
         return self.state is FlowState.ACTIVE
-
-    def eta(self, now: float) -> float:
-        """Projected completion time at the current rate (inf if stalled)."""
-        if self.remaining <= 0:
-            return now
-        if self.rate_bps <= 0:
-            return float("inf")
-        return now + self.remaining / self.rate_bps
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Flow #{self.fid} {self.state.value} "

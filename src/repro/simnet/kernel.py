@@ -22,25 +22,19 @@ class Event:
     skipped when popped (lazy deletion).
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "kernel")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple,
-                 kernel: "EventKernel | None" = None) -> None:
+    def __init__(self, time: float, seq: int, callback: Callable[..., Any],
+                 args: tuple) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self.kernel = kernel
 
     def cancel(self) -> None:
         """Mark the event so it will not fire."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        if self.kernel is not None:
-            self.kernel._live -= 1
-            self.kernel = None
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -70,7 +64,6 @@ class EventKernel:
         self._heap: list[Event] = []
         self._seq = itertools.count()
         self._events_fired = 0
-        self._live = 0  # non-cancelled queued events (O(1) `pending`)
         self._post_hooks: list[Callable[[], None]] = []
         # True while an event callback executes; read directly (not via a
         # property, it sits on the per-mutation hot path) by FluidNetwork
@@ -89,9 +82,8 @@ class EventKernel:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot schedule event at {time} before now={self.now}")
-        event = Event(time, next(self._seq), callback, args, kernel=self)
+        event = Event(time, next(self._seq), callback, args)
         heapq.heappush(self._heap, event)
-        self._live += 1
         return event
 
     def add_post_event_hook(self, hook: Callable[[], None]) -> None:
@@ -115,8 +107,6 @@ class EventKernel:
                 raise SimulationError("event heap yielded an event from the past")
             self.now = event.time
             self._events_fired += 1
-            self._live -= 1
-            event.kernel = None  # a late cancel() must not re-decrement
             self._in_step = True
             try:
                 event.callback(*event.args)
@@ -163,8 +153,8 @@ class EventKernel:
 
     @property
     def pending(self) -> int:
-        """Number of non-cancelled events still queued (O(1))."""
-        return self._live
+        """Number of non-cancelled events still queued."""
+        return sum(1 for event in self._heap if not event.cancelled)
 
     @property
     def events_fired(self) -> int:

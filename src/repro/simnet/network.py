@@ -20,17 +20,14 @@ when a flow leaves its class. A member's completion is a fixed *finish
 service* level — independent of how rates change — kept in a per-class
 heap, so the class's next completion is O(1) to query.
 
-Completion scheduling is incremental as well: each class's projected
-next-completion time is pushed into a lazy min-ETA heap when its rate is
-assigned. A class's absolute ETA only changes when its *rate* or its
-membership changes, so a reallocation that leaves most classes untouched
-(disjoint paths, the common campaign case) does no per-class rescan —
-and never any per-flow one.
+Completion scheduling keeps one dict from class to projected
+next-completion time and arms its minimum. A class's absolute ETA only
+changes when its *rate* or its membership changes, so a reallocation
+recomputes the ETA of those classes only — and never any per-flow one.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from typing import Callable, Iterable, Optional
@@ -66,14 +63,8 @@ class FluidNetwork:
         # their min finish service (and hence ETA) may have moved even
         # if their rate did not.
         self._touched_classes: set[FlowClass] = set()
-        # `_eta_of` (class -> projected next completion time) is the
-        # source of truth. `_eta_heap` is a lazy accelerator over it:
-        # (eta, csn, cls) entries with stale ones skipped on pop. A
-        # mass rate change just marks the heap stale (O(1)); it is only
-        # rebuilt when the population is large enough for a heap to beat
-        # a direct min() scan.
-        self._eta_heap: list[tuple[float, int, FlowClass]] = []
-        self._eta_heap_stale = False
+        # Projected next completion time per class. A stalled class has
+        # no projected completion, and no entry: the dict never holds inf.
         self._eta_of: dict[FlowClass, float] = {}
         # Drain coalesced mutations at event boundaries with no extra
         # same-instant events; the scheduled drain is only the fallback
@@ -194,7 +185,12 @@ class FluidNetwork:
                 self._touched_classes.add(cls)
 
     def _reallocate(self) -> None:
-        """Recompute fair rates and schedule the next completion."""
+        """Recompute fair rates and schedule the next completion.
+
+        Only classes whose rate or membership changed get a new ETA:
+        recomputing an unchanged class at a later ``now`` would move its
+        ETA by a few ulps.
+        """
         if not self._flows:
             # No-op guard: nothing to allocate or to complete.
             self.counters.noop_skips += 1
@@ -205,100 +201,36 @@ class FluidNetwork:
             return
         now = self.kernel.now
         eta_of = self._eta_of
-        allocator = self._allocator
-        classes = allocator.allocate(self.counters)
         touched = self._touched_classes
-        changed: list[FlowClass] = []
-        for cls in classes:
+        for cls in self._allocator.allocate(self.counters):
             rate = cls.rate
             if rate != cls.seen_rate or cls in touched or cls not in eta_of:
                 cls.seen_rate = rate
-                changed.append(cls)
+                self._refresh_eta(cls, now)
         touched.clear()
-        if changed:
-            self.counters.eta_refreshes += len(changed)
-            # `_eta_of` never stores inf (same invariant as _set_eta):
-            # a stalled class simply has no projected completion.
-            if self._eta_heap_stale or \
-                    2 * len(changed) >= allocator.n_classes:
-                # Most rates moved (shared-bottleneck epoch) or the
-                # heap is already invalid: update the dict and leave the
-                # heap stale instead of paying C pushes.
-                self._eta_heap_stale = True
-                for cls in changed:
-                    eta = self._class_eta(cls, now)
-                    if eta != _INF:
-                        eta_of[cls] = eta
-                    else:
-                        eta_of.pop(cls, None)
-            else:
-                for cls in changed:
-                    eta = self._class_eta(cls, now)
-                    if eta != _INF:
-                        eta_of[cls] = eta
-                        heapq.heappush(self._eta_heap,
-                                       (eta, cls.csn, cls))
-                    else:
-                        eta_of.pop(cls, None)
         self._schedule_next_completion()
 
     # -- completion scheduling ------------------------------------------
 
-    def _class_eta(self, cls: FlowClass, now: float) -> float:
-        """Projected next completion time of a class (inf if stalled).
+    def _refresh_eta(self, cls: FlowClass, now: float) -> None:
+        """Recompute a class's projected next completion time.
 
-        Same algebra as the old per-flow ``Flow.eta``: the class's next
-        finisher has ``finish - service`` bytes left at ``cls.rate``.
+        The class's next finisher has ``finish - service`` bytes left at
+        ``cls.rate``; a class that cannot finish is dropped from the
+        ETA dict.
         """
+        self.counters.eta_refreshes += 1
         finish = cls.next_finish_service()
-        if finish == _INF:
-            return _INF
         left = finish - cls.service
         if left <= 0:
-            return now
-        rate = cls.rate
-        if rate <= 0:
-            return _INF
-        return now + left / rate
-
-    def _set_eta(self, cls: FlowClass, eta: float) -> None:
-        """Record a class's projected next completion time."""
-        if eta == _INF:
+            self._eta_of[cls] = now
+        elif finish == _INF or cls.rate <= 0:
             self._eta_of.pop(cls, None)
-            return
-        self._eta_of[cls] = eta
-        heapq.heappush(self._eta_heap, (eta, cls.csn, cls))
-        self.counters.eta_refreshes += 1
-
-    def _next_eta(self) -> float:
-        """Earliest live ETA (inf if none)."""
-        eta_of = self._eta_of
-        if self._eta_heap_stale:
-            if len(eta_of) <= 16:
-                # Tiny population: a direct scan beats heap upkeep.
-                return min(eta_of.values(), default=_INF)
-            self._compact_eta_heap()
-        heap = self._eta_heap
-        while heap:
-            eta, _csn, cls = heap[0]
-            if eta_of.get(cls) == eta:
-                return eta
-            heapq.heappop(heap)
-        return _INF
-
-    def _compact_eta_heap(self) -> None:
-        """Rebuild the heap from the source-of-truth dict."""
-        self._eta_heap = [(eta, cls.csn, cls)
-                          for cls, eta in self._eta_of.items()]
-        heapq.heapify(self._eta_heap)
-        self._eta_heap_stale = False
-        self.counters.eta_heap_compactions += 1
+        else:
+            self._eta_of[cls] = now + left / cls.rate
 
     def _schedule_next_completion(self) -> None:
-        if not self._eta_heap_stale and len(self._eta_heap) > 64 and \
-                len(self._eta_heap) > 4 * len(self._eta_of):
-            self._compact_eta_heap()
-        next_eta = self._next_eta()
+        next_eta = min(self._eta_of.values(), default=_INF)
         if next_eta == _INF:
             if self._completion_event is not None:
                 self._completion_event.cancel()
@@ -350,7 +282,7 @@ class FluidNetwork:
             # an unfinished next member has a strictly-future ETA, so
             # this cannot refire forever at one timestamp.
             for cls in due:
-                self._set_eta(cls, self._class_eta(cls, now))
+                self._refresh_eta(cls, now)
             self._schedule_next_completion()
             return
         for flow in done:
@@ -361,7 +293,7 @@ class FluidNetwork:
 
     def _finish(self, flow: Flow) -> None:
         flow.state = FlowState.COMPLETED
-        flow.remaining = 0.0
+        flow._remaining = 0.0  # the flow has already left its class
         flow.rate_bps = 0.0
         flow.finished_at = self.kernel.now
         if flow.on_complete is not None:

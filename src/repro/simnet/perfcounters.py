@@ -37,10 +37,9 @@ class PerfCounters:
         classes_allocated: collapsed flow classes summed over all
             reallocations (the C <= F the engine actually solves for).
         completion_reschedules: next-completion events (re)scheduled.
-        eta_refreshes: per-class ETA recomputations after a rate change
-            (tracked in the ETA dict; a heap push may or may not follow,
-            depending on the stale-heap mode).
-        eta_heap_compactions: lazy-deletion heap rebuilds.
+        eta_refreshes: per-class ETA recomputations after a rate or
+            membership change, or at a completion tick whose armed ETA
+            was a few ulps early.
         lazy_materializations: per-flow byte-progress materializations
             forced by a class-membership change (completion, abort,
             leave); reads materialize lazily and are not counted.
@@ -54,7 +53,6 @@ class PerfCounters:
     classes_allocated: int = 0
     completion_reschedules: int = 0
     eta_refreshes: int = 0
-    eta_heap_compactions: int = 0
     lazy_materializations: int = 0
 
     _FIELDS: ClassVar[tuple[str, ...]] = ()  # derived below the class

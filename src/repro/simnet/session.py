@@ -295,26 +295,11 @@ class _ProcessDriver:
 
     def _on_timeout(self) -> None:
         self._timeout_event = None
-        if self.handle.done:
-            return
-        self._timing_out = True
-        if self._delay_event is not None:
-            self._delay_event.cancel()
-            self._delay_event = None
-            self._advance(lambda: self.gen.throw(ProcessTimeout(self._timeout_s or 0.0)))
-        elif self._flow is not None:
-            # Abort path: _on_flow_abort will throw ProcessTimeout.
-            self.net.abort_flow(self._flow, reason="timeout")
-        elif self._children_pending > 0:
-            for child in self._children:
-                if not child.handle.done:
-                    child._force_timeout()
-            # _on_child_done throws ProcessTimeout once all are done.
-        else:
-            self._advance(lambda: self.gen.throw(ProcessTimeout(self._timeout_s or 0.0)))
+        self._force_timeout()
 
     def _force_timeout(self) -> None:
-        """Parent-initiated abort (parent timed out or was cleaned up)."""
+        """Abort the process: its own deadline passed, or its parent
+        timed out or was cleaned up."""
         if self.handle.done:
             return
         self._timing_out = True
@@ -324,11 +309,13 @@ class _ProcessDriver:
             self._delay_event = None
             self._advance(lambda: self.gen.throw(ProcessTimeout(self._timeout_s)))
         elif self._flow is not None:
+            # Abort path: _on_flow_abort will throw ProcessTimeout.
             self.net.abort_flow(self._flow, reason="timeout")
         elif self._children_pending > 0:
             for child in self._children:
                 if not child.handle.done:
                     child._force_timeout()
+            # _on_child_done throws ProcessTimeout once all are done.
         else:
             self._advance(lambda: self.gen.throw(ProcessTimeout(self._timeout_s)))
 

@@ -1,9 +1,9 @@
 """Equivalence and invariant tests for the incremental fair-share engine.
 
 The production engine behind :func:`compute_fair_rates` (flow-class
-collapsing + incremental aggregates + share-ordered heap) must produce
-the same rate vector as the reference water-filling loop, up to float
-round-off, on any flow population.
+collapsing + incremental aggregates) must produce the same rate vector
+as the reference water-filling loop, up to float round-off, on any flow
+population.
 """
 
 import random
@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.simnet.fairshare import (
+    FairShareAllocator,
     compute_fair_rates,
     compute_fair_rates_reference,
 )
@@ -151,6 +153,29 @@ def test_duplicate_resource_in_path_charged_per_occurrence():
     reference = compute_fair_rates_reference([f1, f2])
     optimized = compute_fair_rates([f1, f2])
     assert_rate_vectors_match([f1, f2], reference, optimized)
+
+
+def test_flow_listed_twice_counts_once():
+    """The reference treats its input as a set; so must the engine."""
+    r = Resource("r", 100.0)
+    f, g = Flow((r,), 1e6), Flow((r,), 1e6)
+    reference = compute_fair_rates_reference([f, f, g])
+    assert reference == {f: 50.0, g: 50.0}
+    assert compute_fair_rates([f, f, g]) == reference
+
+
+def test_registering_a_flow_twice_raises():
+    """A second registration would count the flow's weight twice."""
+    r = Resource("r", 100.0)
+    flow = Flow((r,), 1e6)
+    alloc = FairShareAllocator()
+    alloc.add_flow(flow)
+    with pytest.raises(SimulationError):
+        alloc.add_flow(flow)
+    assert len(alloc) == 1
+    alloc.remove_flow(flow)
+    assert len(alloc) == 0
+    assert not list(alloc.classes())
 
 
 def test_counters_report_collapsing():

@@ -1,5 +1,6 @@
-"""Tests for epoch-batched reallocation, the min-ETA scheduler, and the
-no-op guards in :class:`FluidNetwork`, plus the O(1) kernel counters."""
+"""Tests for epoch-batched reallocation, per-class completion
+scheduling, and the no-op guards in :class:`FluidNetwork`, plus the
+kernel's ``pending`` count."""
 
 import pytest
 
@@ -82,7 +83,7 @@ def test_unaffected_flow_keeps_completion_schedule(sim):
     kernel, net, counters = sim
     r1, r2 = Resource("r1", 100.0), Resource("r2", 100.0)
     net.start_flow([r1], 1000.0)
-    kernel.run(max_events=1)  # drain: rate assigned, ETA pushed
+    kernel.run(max_events=1)  # drain: rate and ETA assigned
     refreshes = counters.eta_refreshes
     net.start_flow([r2], 500.0)  # disjoint: r1 flow's rate is unchanged
     kernel.run(max_events=1)
@@ -106,22 +107,6 @@ def test_completion_event_not_rescheduled_when_eta_unchanged(sim):
     kernel.run()
     assert finished["a"] == pytest.approx(5.0)
     assert finished["b"] == pytest.approx(50.0)
-
-
-def test_eta_heap_compaction_under_churn(sim):
-    """Start/abort storms leave stale heap entries; the heap compacts
-    instead of growing without bound."""
-    kernel, net, counters = sim
-    r = Resource("r", 1e6)
-    survivor = net.start_flow([r], 1e9)
-    for _ in range(40):
-        doomed = [net.start_flow([r], 1e9) for _ in range(10)]
-        kernel.run(max_events=1)  # drain: rates + ETAs for all
-        for flow in doomed:
-            net.abort_flow(flow)
-        kernel.run(max_events=1)
-    assert len(net._eta_heap) < 200
-    assert survivor.is_active
 
 
 def test_pending_counter_matches_heap_scan():
