@@ -72,8 +72,8 @@ def test_perf_dense_surge_allocator_speedup(benchmark):
     Models the simnet hot path: the flow population is stable between
     events, and every arrival/completion triggers one reallocation. The
     old engine rebuilt everything per event; the persistent allocator
-    pays membership maintenance once and then O(C log R) per event plus
-    the rate fan-out.
+    pays membership maintenance once and then one O(R) bottleneck scan
+    per water-filling round plus the rate fan-out.
     """
     flows = _dense_surge_population()
     calls = 30
