@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import Scale
+from repro.core.experiments import run_experiment_seeds
 from repro.simnet.fairshare import (
     FairShareAllocator,
     FlowClass,
@@ -36,3 +38,25 @@ def reference_allocator(monkeypatch):
     """Route every allocation, network-owned ones included, through
     :func:`compute_fair_rates_reference` for the test's duration."""
     monkeypatch.setattr(FairShareAllocator, "allocate", _reference_allocate)
+
+
+class TinySeedRuns(dict):
+    """Experiment id -> its results at seeds 1-10, ``Scale.tiny()``.
+
+    Each experiment fans out over two workers on first use and is kept
+    for the session, so the paper-claims table and the registry smoke
+    test share one run per experiment.
+    """
+
+    seeds = tuple(range(1, 11))
+    scale = Scale.tiny()
+
+    def __missing__(self, experiment_id: str):
+        runs = self[experiment_id] = run_experiment_seeds(
+            experiment_id, self.seeds, scale=self.scale, workers=2)
+        return runs
+
+
+@pytest.fixture(scope="session")
+def tiny_seed_runs() -> TinySeedRuns:
+    return TinySeedRuns()
