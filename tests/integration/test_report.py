@@ -2,22 +2,30 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.core.config import Scale
 from repro.core.experiments import EXPERIMENTS
-from repro.analysis.report import generate_experiments_md, render_markdown
+from repro.analysis.report import generate_experiments_md
 
 
-def test_render_markdown_covers_every_experiment():
-    text = render_markdown(seed=3, scale=Scale.tiny())
+@pytest.fixture(scope="module")
+def tiny_report(tmp_path_factory) -> tuple[Path, Path]:
+    """(target, returned path) of one tiny-scale report render."""
+    target = tmp_path_factory.mktemp("report") / "EXPERIMENTS.md"
+    return target, generate_experiments_md(target, seed=3, scale=Scale.tiny())
+
+
+def test_render_markdown_covers_every_experiment(tiny_report):
+    text = tiny_report[0].read_text()
     for eid, definition in EXPERIMENTS.items():
         assert f"`{eid}`" in text, eid
         assert definition.paper_ref in text, eid
     assert "paper" in text.lower()
 
 
-def test_generate_writes_file(tmp_path: Path):
-    target = tmp_path / "EXPERIMENTS.md"
-    written = generate_experiments_md(target, seed=3, scale=Scale.tiny())
+def test_generate_writes_file(tiny_report):
+    target, written = tiny_report
     assert written == target
     content = target.read_text()
     assert content.startswith("# EXPERIMENTS")

@@ -109,7 +109,7 @@ def test_property_engines_equivalent(scenario):
 
 @given(flow_scenarios())
 @settings(max_examples=120, deadline=None)
-def test_property_no_resource_oversubscribed_optimized(scenario):
+def test_property_no_resource_oversubscribed(scenario):
     resources, flows = scenario
     rates = compute_fair_rates(flows)
     for res in resources:
