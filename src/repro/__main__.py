@@ -37,6 +37,7 @@ from repro.core.experiments import (
 )
 from repro.core.ptperf import PTPerf
 from repro.measure.store import DEFAULT_CHUNK_SIZE
+from repro.pts.registry import transport_names
 
 _SCALES = {"tiny": Scale.tiny, "small": Scale.small, "paper": Scale.paper}
 
@@ -226,6 +227,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    known = transport_names()
+    unknown = [pt for pt in args.pts if pt not in known]
+    if unknown:
+        print(f"unknown transport(s): {', '.join(unknown)}", file=sys.stderr)
+        print(f"known: {', '.join(known)}", file=sys.stderr)
+        return 2
+    for flag, value in (("--sites", args.sites),
+                        ("--repetitions", args.repetitions)):
+        if value < 1:
+            print(f"{flag} must be >= 1", file=sys.stderr)
+            return 2
     perf = PTPerf(seed=args.seed)
     means = perf.website_access(args.pts, n_sites=args.sites,
                                 repetitions=args.repetitions)

@@ -63,6 +63,24 @@ def test_compare_command(capsys):
     assert "s" in out
 
 
+def test_compare_rejects_unknown_transport(capsys):
+    assert main(["compare", "tor", "nosuchpt"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown transport(s): nosuchpt" in err
+    assert "known: " in err and "obfs4" in err
+
+
+def test_compare_rejects_nonpositive_sites(capsys):
+    for sites in ("0", "-3"):
+        assert main(["compare", "tor", "--sites", sites]) == 2
+        assert "--sites must be >= 1" in capsys.readouterr().err
+
+
+def test_compare_rejects_nonpositive_repetitions(capsys):
+    assert main(["compare", "tor", "--repetitions", "0"]) == 2
+    assert "--repetitions must be >= 1" in capsys.readouterr().err
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
