@@ -22,9 +22,8 @@ and DET04 unordered iteration escaping through return values
 ``[tool.replint]`` in ``pyproject.toml`` names only the default paths
 (:mod:`repro.lint.policy`). Per-line escapes are
 ``# replint: allow[RULE] -- justification``
-(:mod:`repro.lint.suppress`). Every run is a full run; ``--changed``
-only narrows the report, and ``--format`` picks text, json, GitHub
-annotations or SARIF.
+(:mod:`repro.lint.suppress`). Every run is a full run, and
+``--format`` picks text or json.
 
 Process lifecycle, durability and pickle-safety are checked at run
 time instead, by tier-1 tests that count open fds and live children

@@ -5,8 +5,7 @@ time. Whole-program rules see the project call graph
 (:mod:`repro.lint.callgraph`) and may attribute a finding to any
 module; the engine maps the module back to its file and applies that
 file's inline suppressions, so ``# replint: allow[...]`` works
-identically for both layers. Every run is a full run; ``--changed``
-only narrows the *report* to the files git sees as changed.
+identically for both layers. Every run is a full run.
 """
 
 from __future__ import annotations
@@ -40,19 +39,6 @@ class Diagnostic:
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} " \
                f"{self.message}"
-
-    def format_github(self) -> str:
-        """GitHub Actions workflow-command annotation."""
-        def esc(text: str, properties: bool = False) -> str:
-            out = (text.replace("%", "%25").replace("\r", "%0D")
-                   .replace("\n", "%0A"))
-            if properties:
-                out = out.replace(":", "%3A").replace(",", "%2C")
-            return out
-        return (f"::error file={esc(self.path, True)},"
-                f"line={self.line},col={self.col},"
-                f"title=replint {esc(self.rule, True)}"
-                f"::{esc(self.message)}")
 
 
 @dataclass(frozen=True)
@@ -194,97 +180,6 @@ def lint_paths(paths: Sequence[str | Path], policy: Policy, *,
     return list(result.diagnostics)
 
 
-def _git_changed_files(root: Path, base: str = "",
-                       ) -> Optional[frozenset[Path]]:
-    """Python files git sees as modified or untracked under ``root``.
-
-    Without ``base``, "changed" means uncommitted edits against HEAD
-    plus untracked files. With ``base`` (a ref like ``origin/main``),
-    it means everything that differs from ``git merge-base <base>
-    HEAD`` — exactly a PR's files — plus uncommitted and untracked
-    work.
-
-    Returns None when git is unavailable, ``root`` is not a checkout,
-    or ``base`` does not resolve — the caller reports a usage error
-    rather than silently linting nothing.
-    """
-    import subprocess
-
-    diff_from = "HEAD"
-    if base:
-        try:
-            proc = subprocess.run(
-                ["git", "-C", str(root), "merge-base", base, "HEAD"],
-                capture_output=True, text=True, timeout=30)
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        diff_from = proc.stdout.strip()
-
-    files: set[Path] = set()
-    for command in (
-            ["git", "-C", str(root), "diff", "--name-only", diff_from,
-             "--"],
-            ["git", "-C", str(root), "ls-files", "--others",
-             "--exclude-standard"]):
-        try:
-            proc = subprocess.run(command, capture_output=True,
-                                  text=True, timeout=30)
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        for line in proc.stdout.splitlines():
-            if line.endswith(".py"):
-                files.add((root / line).resolve())
-    return frozenset(files)
-
-
-#: SARIF 2.1.0 schema location for ``--format=sarif``.
-_SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
-                 "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
-
-
-def sarif_payload(diagnostics: Sequence[Diagnostic]) -> dict:
-    """The run rendered as a SARIF 2.1.0 log (GitHub code scanning).
-
-    Columns are 1-based in SARIF; replint's are 0-based (AST column
-    offsets), hence the ``+ 1``.
-    """
-    from repro.lint.rules import SUP01_SUMMARY
-
-    summaries = {rule.rule_id: rule.summary
-                 for rule in (*FILE_RULES, *PROJECT_RULES)}
-    summaries[SUP01] = SUP01_SUMMARY
-    summaries["SYNTAX"] = "file cannot be parsed"
-    return {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "replint",
-                "informationUri": "docs/static-analysis.md",
-                "rules": [
-                    {"id": rule_id,
-                     "shortDescription": {"text": summary}}
-                    for rule_id, summary in sorted(summaries.items())],
-            }},
-            "results": [
-                {"ruleId": d.rule,
-                 "level": "error",
-                 "message": {"text": d.message},
-                 "locations": [{"physicalLocation": {
-                     "artifactLocation": {
-                         "uri": Path(d.path).as_posix()},
-                     "region": {"startLine": max(d.line, 1),
-                                "startColumn": d.col + 1},
-                 }}]}
-                for d in diagnostics],
-        }],
-    }
-
-
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
@@ -305,23 +200,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", type=Path, default=None,
                         help="pyproject.toml to read [tool.replint] from "
                              "(default: nearest above the first path)")
-    parser.add_argument("--format",
-                        choices=("text", "json", "github", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text",
                         help="diagnostic output format (default: text)")
     parser.add_argument("--stats", action="store_true",
                         help="print file and call-graph statistics")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule registry and exit")
-    parser.add_argument("--changed", nargs="?", const="", default=None,
-                        metavar="BASE",
-                        help="report only findings in files git "
-                             "considers changed (uncommitted edits + "
-                             "untracked); with a base ref "
-                             "(--changed=origin/main), everything since "
-                             "'git merge-base BASE HEAD'. The whole "
-                             "program is still analysed, so "
-                             "interprocedural verdicts stay correct")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -348,30 +233,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
               + ", ".join(str(p) for p in missing))
         return 2
 
-    changed_files: Optional[frozenset[Path]] = None
-    if args.changed is not None:
-        root = (policy.root if policy.root is not None
-                else Path.cwd())
-        changed_files = _git_changed_files(root, args.changed)
-        if changed_files is None:
-            print("replint: --changed requires a git checkout and a "
-                  "resolvable base ref (git merge-base/diff/ls-files "
-                  "failed)")
-            return 2
-        if not changed_files:
-            if args.format == "sarif":
-                print(json.dumps(sarif_payload(()), indent=2))
-            return 0
-
     result = run_lint(paths, policy)
     diagnostics = result.diagnostics
-    if changed_files is not None:
-        keep = {str(p) for p in changed_files}
-        diagnostics = tuple(d for d in diagnostics
-                            if str(Path(d.path).resolve()) in keep)
-    if args.format == "sarif":
-        print(json.dumps(sarif_payload(diagnostics), indent=2))
-    elif args.format == "json":
+    if args.format == "json":
         print(json.dumps({
             "diagnostics": [
                 {"path": d.path, "line": d.line, "col": d.col,
@@ -382,8 +246,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         }, indent=2))
     else:
         for diagnostic in diagnostics:
-            print(diagnostic.format_github() if args.format == "github"
-                  else diagnostic.format())
+            print(diagnostic.format())
         if args.stats:
             print(result.stats.format())
         if diagnostics:

@@ -781,15 +781,11 @@ class Dim:
 
     @property
     def physical(self) -> bool:
-        """Whether mixing this with another physical dim is an error."""
+        """Whether UNIT03 checks conversions applied to this dimension."""
         return self.kind in ("time", "data", "rate")
 
     def label(self) -> str:
-        if self.kind == "scalar":
-            return "dimensionless"
-        if self.unit:
-            return f"{self.kind}[{self.unit}]"
-        return self.kind
+        return f"{self.kind}[{self.unit}]" if self.unit else self.kind
 
 
 TIME_S = Dim("time", "s")
@@ -797,93 +793,7 @@ TIME_MS = Dim("time", "ms")
 BYTES = Dim("data", "bytes")
 BITS = Dim("data", "bits")
 BYTES_PER_S = Dim("rate", "bytes/s")
-BITS_PER_S = Dim("rate", "bits/s")
 COUNT = Dim("count")
-SCALAR = Dim("scalar")
-UNKNOWN = Dim("unknown")
-#: The dimension of ``repro.units.MS`` (1e-3): multiplying a
-#: milliseconds value by it yields seconds.
-S_PER_MS = Dim("conv", "s/ms")
-
-#: Every lattice point, for property tests.
-ALL_DIMS: tuple[Dim, ...] = (TIME_S, TIME_MS, BYTES, BITS, BYTES_PER_S,
-                             BITS_PER_S, COUNT, SCALAR, UNKNOWN, S_PER_MS)
-
-# The algebra below is the arithmetic the suffix convention implies
-# (bytes / s -> bytes/s, ms * MS -> s). UNIT03 needs only the suffix
-# table; the algebra is kept, property-tested, as the written-down
-# meaning of each suffix.
-
-
-def join(a: Dim, b: Dim) -> Dim:
-    """Least upper bound in the flat lattice."""
-    return a if a == b else UNKNOWN
-
-
-_MUL_TABLE = {
-    (BYTES_PER_S, TIME_S): BYTES,
-    (BITS_PER_S, TIME_S): BITS,
-}
-
-_DIV_TABLE = {
-    (BYTES, TIME_S): BYTES_PER_S,
-    (BITS, TIME_S): BITS_PER_S,
-    (BYTES, BYTES_PER_S): TIME_S,
-    (BITS, BITS_PER_S): TIME_S,
-    (TIME_S, S_PER_MS): TIME_MS,
-}
-
-
-def mul(a: Dim, b: Dim) -> Dim:
-    """Dimension of ``a * b``."""
-    if a == UNKNOWN or b == UNKNOWN:
-        return UNKNOWN
-    for x, y in ((a, b), (b, a)):
-        if x == S_PER_MS:
-            # 5 * MS is five milliseconds expressed in seconds;
-            # x_ms * MS converts milliseconds to seconds.
-            if y == TIME_MS or y.kind in ("scalar", "count"):
-                return TIME_S
-            return UNKNOWN
-    if a.kind == "scalar":
-        return b
-    if b.kind == "scalar":
-        return a
-    if a.kind == "count":
-        return b
-    if b.kind == "count":
-        return a
-    hit = _MUL_TABLE.get((a, b)) or _MUL_TABLE.get((b, a))
-    return hit if hit is not None else UNKNOWN
-
-
-def div(a: Dim, b: Dim) -> Dim:
-    """Dimension of ``a / b`` (and ``a // b``)."""
-    if a == UNKNOWN or b == UNKNOWN:
-        return UNKNOWN
-    if b.kind == "scalar":
-        return a
-    if b.kind == "count":
-        return SCALAR if a.kind == "count" else a
-    if a == b and a.physical:
-        return SCALAR
-    hit = _DIV_TABLE.get((a, b))
-    return hit if hit is not None else UNKNOWN
-
-
-def add_sub(a: Dim, b: Dim) -> tuple[Dim, bool]:
-    """Dimension of ``a + b`` / ``a - b`` and whether they conflict."""
-    if a == b:
-        return a, False
-    if a.physical and b.physical:
-        return UNKNOWN, True
-    if a.physical and b.kind in ("scalar", "count"):
-        return a, False
-    if b.physical and a.kind in ("scalar", "count"):
-        return b, False
-    if {a.kind, b.kind} == {"count", "scalar"}:
-        return COUNT, False
-    return UNKNOWN, False
 
 
 #: Name suffix -> the dimension it declares. Rates are bytes per

@@ -158,55 +158,6 @@ def test_seeded_violations_json_format(seeded_tree, capsys):
     assert "callgraph:" in payload["stats"]["callgraph"]
 
 
-def test_seeded_violations_github_format(seeded_tree, capsys):
-    code, out = _run_lint(seeded_tree, capsys, "--format=github")
-    assert code == 1
-    lines = out.splitlines()
-    annotations = [l for l in lines if l.startswith("::error ")]
-    assert len(annotations) == 4
-    engine = seeded_tree / "src/repro/simnet/engine.py"
-    expected_file = str(engine).replace(":", "%3A").replace(",", "%2C")
-    det03 = annotations[2]
-    assert det03.startswith(f"::error file={expected_file},line=4,col=11,"
-                            "title=replint DET03::")
-    # Workflow-command payloads must stay single-line; the em-dash
-    # message text rides through unescaped but newline-free.
-    assert "\n" not in det03 and "%0A" not in det03
-    assert "via step -> stamp -> read_clock" in det03
-    sched = seeded_tree / "src/repro/simnet/sched.py"
-    sched_file = str(sched).replace(":", "%3A").replace(",", "%2C")
-    assert annotations[3].startswith(
-        f"::error file={sched_file},line=2,col=11,title=replint UNIT03::")
-
-
-def test_seeded_violations_sarif_format(seeded_tree, capsys):
-    """The SARIF log carries the interprocedural verdicts with the full
-    call chain and 1-based columns intact."""
-    code, out = _run_lint(seeded_tree, capsys, "--format=sarif")
-    assert code == 1
-    payload = json.loads(out)
-    run = payload["runs"][0]
-    assert run["tool"]["driver"]["name"] == "replint"
-    rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert rule_ids == sorted(rule_ids)
-    for rule_id in ("DET03", "DET04", "EXC01", "UNIT03", "SUP01",
-                    "SYNTAX"):
-        assert rule_id in rule_ids
-    results = run["results"]
-    assert [r["ruleId"] for r in results] == \
-        ["EXC01", "DET04", "DET03", "UNIT03"]
-    det03 = results[2]
-    assert det03["level"] == "error"
-    # The two-hop call chain survives into code scanning.
-    assert "via step -> stamp -> read_clock" in det03["message"]["text"]
-    location = det03["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"].endswith(
-        "src/repro/simnet/engine.py")
-    region = location["region"]
-    # SARIF columns are 1-based; replint's are 0-based (col 11 -> 12).
-    assert (region["startLine"], region["startColumn"]) == (4, 12)
-
-
 def test_fixed_tree_is_clean(seeded_tree, capsys):
     """Applying the diagnostics' own advice clears every finding."""
     _write(seeded_tree, "src/repro/util/clock.py", """\

@@ -1,10 +1,10 @@
-"""UNIT03 and the dimension algebra behind its suffix table.
+"""UNIT03 and the suffix table behind it.
 
 UNIT03 is a per-file check: a conversion literal (``1000``, ``1e3``,
 ``8``, ``125_000``, ...) multiplying or dividing a name, attribute or
 constant subscript key whose suffix declares a physical dimension.
-Cases are pinned at exact ``file:line:col``. The algebra's laws are
-property-tested in ``test_units_properties.py``; this file pins
+Cases are pinned at exact ``file:line:col``. The suffix parser's laws
+are property-tested in ``test_units_properties.py``; this file pins
 concrete cases.
 """
 
@@ -17,15 +17,8 @@ from repro.lint.rules import (
     BYTES,
     BYTES_PER_S,
     COUNT,
-    S_PER_MS,
-    SCALAR,
     TIME_MS,
     TIME_S,
-    UNKNOWN,
-    add_sub,
-    div,
-    join,
-    mul,
     parse_suffix,
 )
 
@@ -45,45 +38,7 @@ def formatted(source, path=ANALYSIS):
     return [d.format() for d in diags(source, path)]
 
 
-# -- dimension algebra (concrete cases; laws live in the property file) --
-
-
-def test_join_is_flat():
-    assert join(TIME_S, TIME_S) == TIME_S
-    assert join(TIME_S, TIME_MS) == UNKNOWN
-    assert join(BYTES, BITS) == UNKNOWN
-
-
-def test_mul_composition():
-    assert mul(BYTES_PER_S, TIME_S) == BYTES
-    assert mul(TIME_S, BYTES_PER_S) == BYTES
-    assert mul(SCALAR, TIME_S) == TIME_S
-    assert mul(COUNT, BYTES) == BYTES
-    assert mul(TIME_S, TIME_S) == UNKNOWN
-    # repro.units.MS: 5 * MS is 5 ms in seconds; x_ms * MS converts.
-    assert mul(SCALAR, S_PER_MS) == TIME_S
-    assert mul(TIME_MS, S_PER_MS) == TIME_S
-    assert mul(TIME_S, S_PER_MS) == UNKNOWN
-
-
-def test_div_composition():
-    assert div(BYTES, TIME_S) == BYTES_PER_S
-    assert div(BYTES, BYTES_PER_S) == TIME_S
-    assert div(BYTES, BYTES) == SCALAR
-    assert div(BYTES, COUNT) == BYTES
-    assert div(COUNT, COUNT) == SCALAR
-    assert div(TIME_S, S_PER_MS) == TIME_MS
-    assert div(TIME_S, BYTES) == UNKNOWN
-
-
-def test_add_sub_conflicts_only_between_physical_dims():
-    assert add_sub(TIME_S, TIME_MS) == (UNKNOWN, True)
-    assert add_sub(BYTES, BITS) == (UNKNOWN, True)
-    assert add_sub(TIME_S, TIME_S) == (TIME_S, False)
-    # Scalar/count offsets are fine (x_s + 0.5, n_bytes + 1).
-    assert add_sub(TIME_S, SCALAR) == (TIME_S, False)
-    assert add_sub(COUNT, BYTES) == (BYTES, False)
-    assert add_sub(UNKNOWN, TIME_S) == (UNKNOWN, False)
+# -- suffix table --------------------------------------------------------
 
 
 def test_parse_suffix_table():
