@@ -30,7 +30,8 @@ rough factors. `ratio` is measured/paper where both sides are
 magnitudes; boolean shape checks are 1.0 = holds.
 
 Every experiment below can be regenerated with
-`python -m repro run <id>` or `pytest benchmarks/<bench> --benchmark-only`.
+`python -m repro run <id>`. Its claims about the paper are the `<id>.*`
+rows of `tests/calibration/test_paper_claims.py`, checked at seeds 1-10.
 """
 
 
@@ -45,8 +46,8 @@ def render_markdown(seed: int = 2023, scale: Scale | None = None) -> str:
     for eid, definition in EXPERIMENTS.items():
         result = run_experiment(eid, seed=seed, scale=scale)
         parts.append(f"\n## {definition.paper_ref} — {definition.title}\n")
-        parts.append(f"Experiment id: `{eid}` · bench: "
-                     f"`benchmarks/bench_{eid}*.py`\n")
+        parts.append(f"Experiment id: `{eid}` · claims: "
+                     f"`{eid}.*` in `tests/calibration/test_paper_claims.py`\n")
         parts.append("\n### Paper vs measured\n")
         parts.append("```\n" + result.comparison() + "\n```\n")
         parts.append("\n### Regenerated output\n")

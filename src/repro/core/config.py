@@ -36,8 +36,8 @@ class WorldConfig:
 class Scale:
     """How much of the paper's campaign to run.
 
-    The paper's full campaign is 1.25M measurements over a year; the
-    benches default to SMALL so every figure regenerates in seconds.
+    The paper's full campaign is 1.25M measurements over a year;
+    experiments default to SMALL so every figure regenerates in seconds.
     """
 
     n_sites: int = 60          # websites per list (paper: 1000)
@@ -53,7 +53,7 @@ class Scale:
 
     @classmethod
     def small(cls) -> "Scale":
-        """Default bench scale: seconds per figure."""
+        """Default experiment scale: seconds per figure."""
         return cls()
 
     @classmethod

@@ -3,8 +3,10 @@
 Every experiment builds its own world(s) from a seed and a
 :class:`~repro.core.config.Scale`, runs the relevant campaign, and
 returns an :class:`ExperimentResult` whose ``metrics`` are directly
-comparable with the ``paper`` reference values. The benchmarks print
-both side by side; ``EXPERIMENTS.md`` records the comparison.
+comparable with the ``paper`` reference values. ``python -m repro run``
+prints both side by side, ``EXPERIMENTS.md`` records the comparison,
+and ``tests/calibration/test_paper_claims.py`` checks the paper's
+claims against the metrics at ten seeds.
 """
 
 from __future__ import annotations
@@ -194,8 +196,8 @@ def mean_seed_metrics(results: Iterable[ExperimentResult]) -> dict[str, float]:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-#: No inter-measurement pacing in benches (simulated gaps only slow the
-#: event count, not realism: loads are resampled per measurement anyway).
+#: Minimal inter-measurement pacing in experiments (simulated gaps only
+#: add events, not realism: loads are resampled per measurement anyway).
 _FAST_PACING = PacingPolicy(gap_between_accesses_s=0.5, batch_size=0)
 
 

@@ -35,7 +35,7 @@ comparisons for one experiment come from
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import pytest
@@ -64,7 +64,7 @@ class Claim:
     id: str
     section: str
     sources: tuple[str, ...]
-    holds: Callable[..., bool]
+    holds: Callable[..., bool] = field(repr=False)
     held_at_parent: int
 
     @property

@@ -51,6 +51,9 @@ class TinySeedRuns(dict):
     seeds = tuple(range(1, 11))
     scale = Scale.tiny()
 
+    def __repr__(self) -> str:
+        return f"TinySeedRuns(seeds={self.seeds}, experiments={sorted(self)})"
+
     def __missing__(self, experiment_id: str):
         runs = self[experiment_id] = run_experiment_seeds(
             experiment_id, self.seeds, scale=self.scale, workers=2)

@@ -75,3 +75,10 @@ def test_self_hosting_constraints():
         assert make_transport(name).can_self_host is False
     for name in ("obfs4", "webtunnel", "dnstt", "cloak"):
         assert make_transport(name).can_self_host is True
+
+
+def test_meek_and_camoufler_fail_to_connect_sometimes():
+    # Figure 8a: meek and camoufler fail outright in ~10% of attempts.
+    for name in ("meek", "camoufler"):
+        prob = make_transport(name).params.connect_failure_prob
+        assert 0.03 < prob < 0.2, name

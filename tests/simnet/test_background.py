@@ -94,3 +94,49 @@ def test_start_is_idempotent_while_running():
     assert kernel.pending == 1
     bg.stop()
     assert kernel.pending == 0
+
+
+def _foreground_with_static_load() -> tuple[float, int]:
+    kernel = EventKernel()
+    net = FluidNetwork(kernel)
+    # A background weight of 1 gets the same share as the foreground
+    # flow: 50% utilisation.
+    res = Resource("r", 1_000_000.0, background_load=1.0)
+    done = []
+    net.start_flow([res], 10_000_000.0,
+                   on_complete=lambda f: done.append(kernel.now))
+    kernel.run()
+    return done[0], kernel.events_fired
+
+
+def _foreground_with_poisson_load(seed: int) -> tuple[float, int]:
+    kernel = EventKernel()
+    net = FluidNetwork(kernel)
+    res = Resource("r", 1_000_000.0)
+    # 5 arrivals/s of 100 kB on average: half the pipe.
+    bg = PoissonBackground(kernel, net, res, rng=substream(seed, "bg"),
+                           lam=5.0, mean_size_bytes=100_000.0)
+    bg.start()
+    kernel.run(until=60.0)  # warm the queue up
+    done = []
+    net.start_flow([res], 10_000_000.0,
+                   on_complete=lambda f: done.append(kernel.now))
+    kernel.run(until=3600.0)
+    bg.stop()
+    kernel.run(until=7200.0)
+    assert done, "foreground flow must finish"
+    return done[0] - 60.0, kernel.events_fired
+
+
+def test_static_load_approximates_poisson_cross_traffic():
+    """Campaigns model cross-traffic as a static background weight in
+    the fair share instead of simulating other clients' flows. A 10 MB
+    transfer through a 1 MB/s pipe at 50% background utilisation takes
+    about as long either way, while the static model costs far fewer
+    events."""
+    static_t, static_events = _foreground_with_static_load()
+    poisson = [_foreground_with_poisson_load(seed)[0] for seed in range(5)]
+    _, poisson_events = _foreground_with_poisson_load(99)
+    mean_poisson = sum(poisson) / len(poisson)
+    assert static_t == pytest.approx(mean_poisson, rel=0.30)
+    assert static_events * 50 < poisson_events

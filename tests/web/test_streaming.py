@@ -136,3 +136,22 @@ def test_stream_through_real_transports():
     if camoufler.segments_delivered > 2:
         assert camoufler.stall_count > 0
         assert camoufler.stall_ratio > obfs4.stall_ratio
+
+
+def test_audio_streaming_follows_bulk_download_findings():
+    """The paper's bulk-download findings carry over to streaming:
+    fully-encrypted, low-overhead PTs stream a 180 s audio clip
+    smoothly, rate-capped or high-latency ones stall or die, and
+    snowflake's proxy churn kills long sessions under load."""
+    from repro.core import World, WorldConfig
+    pts = ("tor", "obfs4", "cloak", "webtunnel", "dnstt", "camoufler",
+           "marionette", "snowflake")
+    world = World(WorldConfig(seed=2023, snowflake_surge=1.0, transports=pts,
+                              tranco_size=2, cbl_size=2))
+    audio = standard_audio()
+    results = {pt: world.stream_media(pt, audio) for pt in pts}
+    for pt in ("obfs4", "cloak", "webtunnel"):
+        assert results[pt].smooth, pt
+    for pt in ("camoufler", "marionette"):
+        assert results[pt].stall_count > 0 or not results[pt].completed, pt
+    assert not results["snowflake"].completed
