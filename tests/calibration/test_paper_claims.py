@@ -15,10 +15,12 @@ record-level.
 
 The substrate is a simulator, so a claim about a distribution can miss
 at an unlucky seed. One rule sets every floor: a row passes when it
-holds at ``held_at_parent - 3`` or more of the ten seeds. A change that
-only reshuffles the random stream stays above that; a change to the
-science (for example, loading every bridge like a volunteer guard)
-drops the Section 4.2.1 rows below it.
+holds at ``held_at_parent - 3`` or more of the ten seeds. The margin
+is meant to absorb a change that only reshuffles the random stream,
+while a change to the science (for example, loading every bridge like
+a volunteer guard) drops the Section 4.2.1 rows below it. Two rows are
+closer to their floor than their counts suggest; see the comment on
+``fig2b.pts_beat_tor``.
 
 Where the paper states one claim that several projections can check,
 the row keeps the tightest bound any earlier check used. A conjunction
@@ -34,7 +36,6 @@ comparisons for one experiment come from
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,7 +44,7 @@ import pytest
 from repro.analysis import ecdf_by_pt, mean_by_pt
 from repro.core import World, WorldConfig
 from repro.core.config import Scale
-from repro.core.experiments import EXPERIMENTS, ExperimentResult
+from repro.core.experiments import ExperimentResult
 from repro.measure import CampaignRunner, Method
 from repro.measure.ethics import PacingPolicy
 from repro.pts.base import Category
@@ -106,10 +107,10 @@ def _first_hop(seed: int, scale: Scale) -> ExperimentResult:
                             metrics=metrics, paper={})
 
 
-@functools.cache
-def _first_hop_runs(seeds: tuple[int, ...],
-                    scale: Scale) -> list[ExperimentResult]:
-    return [_first_hop(seed, scale) for seed in seeds]
+@pytest.fixture(scope="module")
+def first_hop_runs(tiny_seed_runs) -> list[ExperimentResult]:
+    return [_first_hop(seed, tiny_seed_runs.scale)
+            for seed in tiny_seed_runs.seeds]
 
 
 # -- predicates shared by several rows ------------------------------------
@@ -254,6 +255,9 @@ CLAIMS: list[Claim] = [
                      and r.metrics["diff:proxy layer-tunneling"] < 0
                      and r.metrics["diff:mimicry-Tor"] > 0), 10),
     # -- selenium website access (Figure 2b, Tables 5-6) --
+    # At seeds 11-20 this row and tables5_6.signs_agree (the same
+    # campaign) hold at only 4 of 10: at 8 sites the Section 4.2.1
+    # headline is a weak effect, not a settled one.
     Claim("fig2b.pts_beat_tor", "Section 4.2.1", ("fig2b",),
           lambda r: all(r.metrics[pt] < r.metrics["tor"]
                         for pt in ("obfs4", "webtunnel", "conjure")), 9),
@@ -395,23 +399,18 @@ CLAIMS: list[Claim] = [
 ]
 
 
-def _source_runs(source: str, tiny_seed_runs) -> list[ExperimentResult]:
-    if source == FIRST_HOP:
-        return _first_hop_runs(tiny_seed_runs.seeds, tiny_seed_runs.scale)
-    return tiny_seed_runs[source]
-
-
 def test_table_is_well_formed():
     ids = [claim.id for claim in CLAIMS]
     assert len(ids) == len(set(ids))
     for claim in CLAIMS:
-        assert set(claim.sources) <= set(EXPERIMENTS) | {FIRST_HOP}, claim.id
         assert claim.floor > 0 and claim.held_at_parent <= 10, claim.id
 
 
 @pytest.mark.parametrize("claim", CLAIMS, ids=lambda claim: claim.id)
-def test_claim_holds_at_its_floor(claim, tiny_seed_runs):
-    per_source = [_source_runs(source, tiny_seed_runs)
+def test_claim_holds_at_its_floor(claim, tiny_seed_runs, request):
+    # The probe is a fixture of its own, run only when a row reads it.
+    per_source = [request.getfixturevalue("first_hop_runs")
+                  if source == FIRST_HOP else tiny_seed_runs[source]
                   for source in claim.sources]
     held = [seed for seed, results in zip(tiny_seed_runs.seeds,
                                           zip(*per_source))
