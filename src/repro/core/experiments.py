@@ -196,8 +196,8 @@ def mean_seed_metrics(results: Iterable[ExperimentResult]) -> dict[str, float]:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-#: Minimal inter-measurement pacing in experiments (simulated gaps only
-#: add events, not realism: loads are resampled per measurement anyway).
+#: Tight pacing for experiments: longer simulated gaps would only add
+#: events, not realism, because loads are resampled per measurement.
 _FAST_PACING = PacingPolicy(gap_between_accesses_s=0.5, batch_size=0)
 
 
