@@ -163,11 +163,12 @@ def _fast_group_completes_50mb(result: ExperimentResult) -> bool:
 
 
 def _camoufler_about_3x_obfs4(result: ExperimentResult) -> bool:
-    """Paper: camoufler 173 s vs obfs4 64 s for 50 MB."""
-    camoufler = _complete_50mb(result, "camoufler")
-    obfs4 = _complete_50mb(result, "obfs4")
-    return bool(camoufler and obfs4) and _between(
-        1.6, camoufler.mean_duration() / obfs4.mean_duration(), 6.0)
+    """Paper: camoufler 173 s vs obfs4 64 s for 50 MB. Both must pass
+    Figure 5's inclusion rule (two or more complete downloads)."""
+    m = result.metrics
+    return ("camoufler:file-50mb" in m and "obfs4:file-50mb" in m
+            and _between(1.6, m["camoufler:file-50mb"] / m["obfs4:file-50mb"],
+                         6.0))
 
 
 def _marionette_20mb_over_4x_obfs4(result: ExperimentResult) -> bool:
