@@ -113,7 +113,7 @@ def first_hop_runs(tiny_seed_runs) -> list[ExperimentResult]:
             for seed in tiny_seed_runs.seeds]
 
 
-# -- predicates shared by several rows ------------------------------------
+# -- predicates and helpers the rows call ---------------------------------
 
 
 def _between(low: float, value: float, high: float) -> bool:
