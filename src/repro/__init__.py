@@ -2,8 +2,8 @@
 
 A faithful, simulator-backed reproduction of *"PTPerf: On the
 Performance Evaluation of Tor Pluggable Transports"* (IMC 2023). See
-``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-vs-measured comparison of every table and figure.
+``EXPERIMENTS.md`` for the paper-vs-measured comparison of every table
+and figure, and ``docs/`` for the design of each subsystem.
 
 Quickstart::
 

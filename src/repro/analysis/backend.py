@@ -111,9 +111,8 @@ class ExactSum:
 def nearest_rank_quantile(sorted_values: Sequence[float], q: float) -> float:
     """Smallest sample value with CDF >= q (nearest-rank definition).
 
-    The one shared quantile definition used by :meth:`ECDF.quantile`
-    and the long-term monitor's p90 — ``int(q * n)`` over-indexes
-    (n=10, q=0.9 would report the maximum).
+    The quantile definition behind :meth:`ECDF.quantile` —
+    ``int(q * n)`` over-indexes (n=10, q=0.9 would report the maximum).
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("quantile must be in (0, 1]")

@@ -43,7 +43,7 @@ from repro.pts.catalog28 import CATALOG
 from repro.pts.registry import ALL_TRANSPORTS
 from repro.simnet.geo import Medium
 from repro.tor.relay import make_colocated_guard_and_bridge
-from repro.units import mbit
+from repro.units import WEEK, mbit
 from repro.web.types import Status
 
 
@@ -884,7 +884,7 @@ def _fig12(seed: int, scale: Scale) -> ExperimentResult:
         mean = weekly.mean_duration()
         rows.append([f"2023-03 week {week}", mean])
         metrics[f"mean:week{week}"] = mean
-        world.kernel.run(until=world.kernel.now + 7 * 86_400.0)
+        world.kernel.run(until=world.kernel.now + WEEK)
     text = render_table(["period", "mean access time (s)"], rows)
     metrics["all_weeks_above_pre"] = float(all(
         metrics[f"mean:week{w}"] > pre_mean for w in range(1, 6)))

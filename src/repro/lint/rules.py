@@ -462,8 +462,7 @@ class FloatAccumulationRule(Rule):
                "backend.fsum / ExactSum / statistics.fmean)")
     policy = RulePolicy(
         zones=("repro.analysis", "repro.measure.store",
-               "repro.measure.locations", "repro.measure.monitoring",
-               "repro.measure.surge"),
+               "repro.measure.locations", "repro.measure.surge"),
         # backend *implements* the exactly-rounded primitives.
         exempt=("repro.analysis.backend",))
 
@@ -542,7 +541,7 @@ class RawWriteRule(Rule):
     policy = RulePolicy(
         zones=("repro.measure",),
         # measure.io *is* the sanctioned writer surface (write_shard,
-        # atomic_writer, the export writers).
+        # AtomicShardWriter).
         exempt=("repro.measure.io",))
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -575,7 +574,7 @@ class RawWriteRule(Rule):
                     line, end, col,
                     f"raw {what}(..., {mode!r}) — result artifacts "
                     "must go through the atomic write helpers "
-                    "(measure.io.write_shard / atomic_writer)")
+                    "(measure.io.write_shard / AtomicShardWriter)")
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,6 @@ from repro.measure.locations import (
     mean_by_client,
     ordering_by_cell,
 )
-from repro.measure.monitoring import (
-    Anomaly,
-    LongTermMonitor,
-    ProbeSample,
-    iran_protest_schedule,
-)
 from repro.measure.parallel import (
     CampaignOutcome,
     CampaignSpec,
@@ -51,15 +45,14 @@ from repro.measure.surge import (
 )
 
 __all__ = [
-    "Anomaly", "CampaignOutcome", "CampaignRunner", "CampaignSpec",
+    "CampaignOutcome", "CampaignRunner", "CampaignSpec",
     "CellSpec", "ChunkedColumnStore", "ColumnStore", "DEFAULT_PACING",
     "FailedUnit", "FaultPlan", "GroupedValues", "LocationCell",
-    "LongTermMonitor", "MeasurementRecord", "Method", "OVERLOAD_PACING",
+    "MeasurementRecord", "Method", "OVERLOAD_PACING",
     "POST_SEPTEMBER_MONTHS", "PRE_SEPTEMBER_MONTHS", "PacingPolicy",
-    "ParallelCampaign", "ProbeSample", "ResultSet", "RetryPolicy",
+    "ParallelCampaign", "ResultSet", "RetryPolicy",
     "SNOWFLAKE_USER_TIMELINE", "ShardedResultStore", "Supervisor",
     "SurgePoint", "TargetKind", "UnitJournal", "UnitResult", "WorkUnit",
-    "iran_protest_schedule",
     "location_matrix", "matrix_cells", "mean_by_client", "ordering_by_cell",
     "post_september_level", "pre_september_level", "record_to_row",
     "surge_level_for",

@@ -1,29 +1,21 @@
-"""Result persistence: CSV, JSON and JSONL round-trips for result sets.
+"""Result persistence: the JSONL shard format.
 
 The paper publishes its measurement data and analysis scripts; this
-module is the equivalent surface for the reproduction — campaigns can be
-exported for external analysis (pandas, R) and reloaded for later
-statistics without re-simulating.
+module is the equivalent surface for the reproduction. Campaigns export
+as JSONL shards (one row object per line, written by
+:func:`write_shard` or :class:`AtomicShardWriter`) that
+:func:`iter_json_lines` streams back one
+:class:`~repro.measure.records.MeasurementRecord` at a time, so
+out-of-core pipelines (the sharded store in :mod:`repro.measure.store`,
+spooling parallel workers) never hold a whole campaign in RAM.
 
-Two access styles coexist:
-
-* **materializing** — ``read_csv``/``read_json`` rebuild a full
-  :class:`~repro.measure.records.ResultSet` in memory, as before;
-* **streaming** — ``iter_csv``/``iter_json_lines`` are generators that
-  yield one :class:`~repro.measure.records.MeasurementRecord` at a
-  time, and every writer accepts any record iterable, so out-of-core
-  pipelines (the sharded store in :mod:`repro.measure.store`, spooling
-  parallel workers) never hold a whole campaign in RAM.
-
-The JSONL (one row object per line) format is the shard format of the
-streaming store: append-friendly, newline-splittable, and exact — JSON
+The format is append-friendly, newline-splittable, and exact — JSON
 serialises doubles via ``repr``, which round-trips every finite float
 bit-identically.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -39,16 +31,14 @@ from repro.measure.records import (
 )
 from repro.web.types import Status
 
-#: Stable column order for CSV export. ``sim_time_s`` and ``meta`` sit
-#: last so files written before they existed still parse (missing
-#: trailing columns fall back to the record defaults on read).
-_COLUMNS = (
+#: The row keys :func:`record_to_row` writes. ``sim_time_s`` and
+#: ``meta`` are the newest, so rows that predate them still parse
+#: (missing keys fall back to the record defaults on read).
+_KNOWN_KEYS = frozenset((
     "pt", "category", "target", "kind", "method", "client", "server",
     "medium", "duration_s", "ttfb_s", "speed_index_s", "status",
     "bytes_expected", "bytes_received", "repetition", "sim_time_s", "meta",
-)
-
-_KNOWN_KEYS = frozenset(_COLUMNS)
+))
 
 #: value -> enum member, bypassing EnumMeta.__call__ in the row-decode
 #: hot path (a streaming pass decodes millions of rows per reduction).
@@ -60,40 +50,20 @@ _STATUS_OF = {s.value: s for s in Status}
 Records = Union[ResultSet, Iterable[MeasurementRecord]]
 
 
-def _meta_from_value(value) -> dict:
-    """Decode the ``meta`` cell: a dict (JSON/in-memory rows) or the
-    JSON string CSV stores it as; old files without the column give {}."""
-    if value in (None, ""):
-        return {}
-    if isinstance(value, str):
-        return json.loads(value)
-    return dict(value)
-
-
 def _opt_float(value):
-    if value in (None, "", "None"):
-        return None
-    return float(value)
+    return None if value is None else float(value)
 
 
-def _record_from_row(row: dict, *, strict: bool = False) -> MeasurementRecord:
-    if row.keys() == _KNOWN_KEYS:
-        # Exact current schema (every wire row, every shard line, every
-        # file we wrote ourselves): skip the unknown-column scan.
-        meta = _meta_from_value(row["meta"])
-    else:
+def _record_from_row(row: dict) -> MeasurementRecord:
+    meta = dict(row.get("meta") or {})
+    if row.keys() != _KNOWN_KEYS:
+        # Not the exact current schema (which every row we write has):
+        # unknown keys must not be dropped silently, or hand-edited or
+        # newer-format shards would lose fields. The explicit meta
+        # object wins on a key collision.
         unknown = {key: value for key, value in row.items()
-                   if key not in _KNOWN_KEYS and key is not None
-                   and value not in (None, "")}
-        if unknown and strict:
-            raise ValueError(
-                f"row has unknown columns: {sorted(unknown)} "
-                "(pass strict=False to fold them into record.meta)")
-        meta = _meta_from_value(row.get("meta"))
+                   if key not in _KNOWN_KEYS and value is not None}
         if unknown:
-            # Unknown columns must not be dropped silently: hand-edited
-            # or newer-format files would lose fields. The explicit
-            # meta cell wins on a key collision.
             meta = {**unknown, **meta}
 
     try:
@@ -125,90 +95,20 @@ def _record_from_row(row: dict, *, strict: bool = False) -> MeasurementRecord:
         bytes_received=float(row["bytes_received"]),
         ttfb_s=_opt_float(row.get("ttfb_s")),
         speed_index_s=_opt_float(row.get("speed_index_s")),
-        sim_time_s=float(row.get("sim_time_s") or 0.0),
-        repetition=int(float(row.get("repetition", 0) or 0)),
+        sim_time_s=float(row.get("sim_time_s", 0.0)),
+        repetition=int(row.get("repetition", 0)),
         meta=meta,
     )
 
 
-def _iter_records(results: Records) -> Iterator[MeasurementRecord]:
-    """The writers' input normalisation: records, streamed."""
-    return iter(results)
-
-
-def rows_to_result_set(rows: Iterable[dict], *,
-                       strict: bool = False) -> ResultSet:
+def rows_to_result_set(rows: Iterable[dict]) -> ResultSet:
     """Rebuild a result set from :meth:`ResultSet.to_rows` output.
 
     This is the wire format parallel campaign workers use to ship
     results back to the parent process, so it must restore every field.
-    Unknown row keys land in ``meta`` (or raise with ``strict=True``).
+    Unknown row keys land in ``meta``.
     """
-    return ResultSet(_record_from_row(row, strict=strict) for row in rows)
-
-
-# ---------------------------------------------------------------------------
-# CSV
-# ---------------------------------------------------------------------------
-
-
-def write_csv(results: Records, path: str | Path) -> Path:
-    """Write records as CSV (one row per measurement), streaming.
-
-    Accepts a :class:`ResultSet` or any record iterable — a generator
-    input is written row by row without materializing a row list.
-    """
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_COLUMNS)
-        writer.writeheader()
-        for record in _iter_records(results):
-            row = record_to_row(record)
-            out = {col: row.get(col) for col in _COLUMNS}
-            out["meta"] = json.dumps(row["meta"], sort_keys=True) \
-                if row.get("meta") else ""
-            writer.writerow(out)
-    return path
-
-
-def iter_csv(path: str | Path, *,
-             strict: bool = False) -> Iterator[MeasurementRecord]:
-    """Stream records from a CSV file, one at a time.
-
-    Tolerates legacy short-header files (missing trailing columns fall
-    back to record defaults) and, with ``strict=False`` (the default),
-    folds columns the format does not know into ``record.meta``;
-    ``strict=True`` raises on them instead.
-    """
-    path = Path(path)
-    with path.open(newline="") as handle:
-        for row in csv.DictReader(handle):
-            yield _record_from_row(row, strict=strict)
-
-
-def read_csv(path: str | Path, *, strict: bool = False) -> ResultSet:
-    """Load a result set previously written by :func:`write_csv`."""
-    return ResultSet(iter_csv(path, strict=strict))
-
-
-# ---------------------------------------------------------------------------
-# JSON (one array) and JSONL (one row object per line — the shard format)
-# ---------------------------------------------------------------------------
-
-
-def write_json(results: Records, path: str | Path, *,
-               indent: int | None = None) -> Path:
-    """Write records as a JSON array of measurement objects."""
-    path = Path(path)
-    rows = [record_to_row(r) for r in _iter_records(results)]
-    path.write_text(json.dumps(rows, indent=indent))
-    return path
-
-
-def read_json(path: str | Path, *, strict: bool = False) -> ResultSet:
-    """Load a result set previously written by :func:`write_json`."""
-    return rows_to_result_set(json.loads(Path(path).read_text()),
-                              strict=strict)
+    return ResultSet(_record_from_row(row) for row in rows)
 
 
 def row_lines(results: Records) -> Iterator[str]:
@@ -218,21 +118,8 @@ def row_lines(results: Records) -> Iterator[str]:
     copies raw lines between files, so bit-identity across write paths
     is only guaranteed because they all emit exactly these bytes.
     """
-    for record in _iter_records(results):
+    for record in results:
         yield json.dumps(record_to_row(record), sort_keys=True) + "\n"
-
-
-def write_json_lines(results: Records, path: str | Path) -> Path:
-    """Write records as JSONL (the streaming store's shard format).
-
-    One JSON object per line, streamed — bounded memory for any input
-    iterable. JSON string escaping keeps every row on a single line.
-    """
-    path = Path(path)
-    with path.open("w") as handle:
-        for line in row_lines(results):
-            handle.write(line)
-    return path
 
 
 def write_shard(results: Records, path: str | Path) -> tuple[int, str]:
@@ -311,20 +198,14 @@ def file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def iter_json_lines(path: str | Path, *,
-                    strict: bool = False) -> Iterator[MeasurementRecord]:
+def iter_json_lines(path: str | Path) -> Iterator[MeasurementRecord]:
     """Stream records from a JSONL shard, one at a time."""
     path = Path(path)
     with path.open() as handle:
         for line in handle:
             line = line.strip()
             if line:
-                yield _record_from_row(json.loads(line), strict=strict)
-
-
-def read_json_lines(path: str | Path, *, strict: bool = False) -> ResultSet:
-    """Load a whole JSONL shard into memory (tests, small files)."""
-    return ResultSet(iter_json_lines(path, strict=strict))
+                yield _record_from_row(json.loads(line))
 
 
 def merge(result_sets: Iterable[ResultSet]) -> ResultSet:

@@ -71,6 +71,16 @@ _METHOD_CODE = {m: i for i, m in enumerate(_METHODS)}
 _STATUSES: tuple[Status, ...] = tuple(Status)
 _STATUS_CODE = {s: i for i, s in enumerate(_STATUSES)}
 
+#: The record fields :meth:`ColumnStore.grouped_values` can group by.
+_GROUP_KEYS = ("pt", "target", "method")
+
+
+def check_group_key(by: str) -> None:
+    """Raise the ``ValueError`` every store gives for an unknown ``by``."""
+    if by not in _GROUP_KEYS:
+        raise ValueError(f"cannot group by {by!r}; "
+                         f"known: {', '.join(_GROUP_KEYS)}")
+
 
 def status_fractions_from_counts(counts: Sequence[int],
                                  ) -> dict["Status", float]:
@@ -87,7 +97,7 @@ def status_fractions_from_counts(counts: Sequence[int],
 def record_to_row(r: MeasurementRecord) -> dict:
     """One record as a plain dict row (the serialisation wire format).
 
-    Shared by :meth:`ResultSet.to_rows` and the streaming writers in
+    Shared by :meth:`ResultSet.to_rows` and the JSONL shard writers in
     :mod:`repro.measure.io`, which serialise records one at a time
     without materializing a row list.
     """
@@ -215,18 +225,16 @@ class ColumnStore:
                        sort: bool = False) -> GroupedValues:
         from repro.analysis import backend
 
+        check_group_key(by)
         if by == "pt":
             labels: tuple[str, ...] = self.pts
             base_codes = self.pt_codes
         elif by == "target":
             labels = self.targets
             base_codes = self.target_codes
-        elif by == "method":
+        else:
             labels = tuple(m.value for m in _METHODS)
             base_codes = self.method_codes
-        else:
-            raise ValueError(f"cannot group by {by!r}; "
-                             "known: pt, target, method")
         codes, values = self._masked_columns(value, method, base_codes)
         grouper = backend.group_sorted_flat if sort else backend.group_flat
         flat, starts = grouper(codes, values, len(labels))

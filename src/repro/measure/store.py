@@ -41,6 +41,7 @@ from repro.measure.records import (
     MeasurementRecord,
     Method,
     ResultSet,
+    check_group_key,
     status_fractions_from_counts,
 )
 from repro.web.types import Status
@@ -199,6 +200,9 @@ class ChunkedColumnStore:
         bit-identical to sorting per-group over the full in-memory
         column.
         """
+        # Checked up front: an empty store streams no chunk whose
+        # grouping would reject an unknown key.
+        check_group_key(by)
         buckets: dict[str, list[float]] = {}
         if by == "method":
             # Fixed label set, present even for an empty store — the
@@ -336,16 +340,18 @@ class ShardedResultStore:
     def open(cls, directory: str | Path, *,
              chunk_size: int = DEFAULT_CHUNK_SIZE,
              shard_counts: Optional[Sequence[int]] = None,
-             validate: bool = True) -> "ShardedResultStore":
+             ) -> "ShardedResultStore":
         """Attach to a directory of previously written shards.
 
-        With ``validate=True`` (the default) each shard's tail is
-        checked first (see :func:`_shard_tail_valid`); a damaged shard
-        is *quarantined* — renamed to ``<name>.corrupt``, out of the
-        shard glob — instead of crashing the first reduction that
-        streams into the torn line. Quarantined paths are reported on
-        ``store.quarantined`` so callers can surface the data loss;
-        the store carries on with the intact shards.
+        The directory must exist: a mistyped path raises
+        :class:`~repro.errors.ConfigError` instead of reading as an
+        empty campaign. Each shard's tail is checked first (see
+        :func:`_shard_tail_valid`); a damaged shard is *quarantined* —
+        renamed to ``<name>.corrupt``, out of the shard glob — instead
+        of crashing the first reduction that streams into the torn
+        line. Quarantined paths are reported on ``store.quarantined``
+        so callers can surface the data loss; the store carries on
+        with the intact shards.
 
         ``shard_counts`` lets a caller that just wrote the shards (and
         therefore knows the per-shard record counts) seed the lazy
@@ -356,21 +362,23 @@ class ShardedResultStore:
         — that is an error, not a degradation.
         """
         directory = Path(directory)
+        if not directory.is_dir():
+            raise ConfigError(f"no result store at {directory}: "
+                              "not a directory")
         quarantined: list[Path] = []
         next_index = 0
-        if validate and directory.is_dir():
-            shards = sorted(directory.glob(_SHARD_GLOB),
-                            key=lambda p: int(p.stem.split("-", 1)[1]))
-            if shards:
-                # Claim the numbering of *every* pre-quarantine shard:
-                # a later spill must never mint the index of a shard
-                # that was just renamed aside.
-                next_index = int(shards[-1].stem.split("-", 1)[1]) + 1
-            for path in shards:
-                if not _shard_tail_valid(path):
-                    target = path.with_name(path.name + ".corrupt")
-                    path.replace(target)
-                    quarantined.append(target)
+        shards = sorted(directory.glob(_SHARD_GLOB),
+                        key=lambda p: int(p.stem.split("-", 1)[1]))
+        if shards:
+            # Claim the numbering of *every* pre-quarantine shard: a
+            # later spill must never mint the index of a shard that was
+            # just renamed aside.
+            next_index = int(shards[-1].stem.split("-", 1)[1]) + 1
+        for path in shards:
+            if not _shard_tail_valid(path):
+                target = path.with_name(path.name + ".corrupt")
+                path.replace(target)
+                quarantined.append(target)
         if quarantined and shard_counts is not None:
             raise ConfigError(
                 f"{len(quarantined)} shard(s) in {directory} are corrupt "

@@ -42,28 +42,17 @@ from repro.pts.registry import (
 from repro.pts.shadowsocks import Shadowsocks
 from repro.pts.snowflake import Snowflake
 from repro.pts.stegotorus import Stegotorus
-from repro.pts.traces import (
-    WIRE_PROFILES,
-    FlowFeatures,
-    Packet,
-    WireProfile,
-    extract_features,
-    feature_table,
-    generate_trace,
-    wire_profile,
-)
 from repro.pts.vanilla import VanillaTor
 from repro.pts.webtunnel import WebTunnel
 
 __all__ = [
     "ALL_TRANSPORTS", "AdoptionGroup", "ArchSet", "AutomatonState", "CATALOG",
     "Camoufler", "Category", "Cloak", "Conjure", "Detour", "Dnstt",
-    "EVALUATED_PTS", "FlowFeatures", "Marionette", "Meek", "Obfs4", "Packet",
+    "EVALUATED_PTS", "Marionette", "Meek", "Obfs4",
     "PTCatalogEntry", "PTParams", "PluggableTransport",
     "ProbabilisticAutomaton", "Psiphon", "Shadowsocks", "Snowflake",
     "Stegotorus", "TorBackedChannel", "TransportContext", "VanillaTor",
-    "WIRE_PROFILES", "WebTunnel", "WireProfile", "by_category", "entries",
-    "evaluated_names", "extract_features", "feature_table", "generate_trace",
+    "WebTunnel", "by_category", "entries", "evaluated_names",
     "make_all", "make_transport", "marionette_http_automaton",
-    "summary_counts", "transport_class", "transport_names", "wire_profile",
+    "summary_counts", "transport_class", "transport_names",
 ]

@@ -1,4 +1,4 @@
-"""Round-trip tests for result-set persistence."""
+"""Round-trip tests for the JSONL shard format."""
 
 import os
 
@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.measure.io import (
+    iter_json_lines,
     merge,
-    read_csv,
-    read_json,
+    row_lines,
     rows_to_result_set,
-    write_csv,
-    write_json,
+    write_shard,
 )
 from repro.measure.records import MeasurementRecord, Method, ResultSet, TargetKind
 from repro.web.types import Status
@@ -53,24 +52,6 @@ def _assert_equal(a: ResultSet, b: ResultSet):
         assert ra == rb
 
 
-def test_csv_roundtrip(tmp_path):
-    original = sample_results()
-    path = write_csv(original, tmp_path / "results.csv")
-    _assert_equal(original, read_csv(path))
-
-
-def test_json_roundtrip(tmp_path):
-    original = sample_results()
-    path = write_json(original, tmp_path / "results.json", indent=2)
-    _assert_equal(original, read_json(path))
-
-
-def test_csv_header_stable(tmp_path):
-    path = write_csv(sample_results(), tmp_path / "r.csv")
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("pt,category,target,kind,method")
-
-
 def test_merge_concatenates():
     merged = merge([sample_results(), sample_results()])
     assert len(merged) == 6
@@ -84,16 +65,19 @@ def test_rows_roundtrip_is_exact():
     assert rebuilt.records == original.records
 
 
-def test_read_csv_tolerates_files_without_new_columns(tmp_path):
-    """Files written before sim_time_s/meta existed still load."""
-    legacy = tmp_path / "legacy.csv"
-    legacy.write_text(
-        "pt,category,target,kind,method,client,server,medium,duration_s,"
-        "ttfb_s,speed_index_s,status,bytes_expected,bytes_received,"
-        "repetition\n"
-        "tor,baseline,site0,website,curl,London,Frankfurt,wired,2.5,"
-        "0.8,,complete,1000.0,1000.0,1\n")
-    loaded = read_csv(legacy)
+def _legacy_row(**extra):
+    """A row written before ``sim_time_s`` and ``meta`` existed."""
+    return {"pt": "tor", "category": "baseline", "target": "site0",
+            "kind": "website", "method": "curl", "client": "London",
+            "server": "Frankfurt", "medium": "wired", "duration_s": 2.5,
+            "ttfb_s": 0.8, "speed_index_s": None, "status": "complete",
+            "bytes_expected": 1000.0, "bytes_received": 1000.0,
+            "repetition": 1, **extra}
+
+
+def test_rows_without_new_columns_get_record_defaults():
+    """Rows written before sim_time_s/meta existed still load."""
+    loaded = rows_to_result_set([_legacy_row()])
     assert len(loaded) == 1
     record = loaded.records[0]
     assert record.sim_time_s == 0.0
@@ -128,24 +112,6 @@ _records = st.builds(
     meta=_meta)
 
 
-@given(records=st.lists(_records, min_size=1, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_csv_roundtrip_reproduces_every_field(tmp_path_factory, records):
-    original = ResultSet(records)
-    path = tmp_path_factory.mktemp("io") / "prop.csv"
-    reloaded = read_csv(write_csv(original, path))
-    assert reloaded.records == original.records
-
-
-@given(records=st.lists(_records, min_size=1, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_json_roundtrip_reproduces_every_field(tmp_path_factory, records):
-    original = ResultSet(records)
-    path = tmp_path_factory.mktemp("io") / "prop.json"
-    reloaded = read_json(write_json(original, path))
-    assert reloaded.records == original.records
-
-
 def test_roundtrip_of_real_campaign(tmp_path):
     from repro.core import World, WorldConfig
     from repro.measure.campaign import CampaignRunner
@@ -153,119 +119,69 @@ def test_roundtrip_of_real_campaign(tmp_path):
     runner = CampaignRunner(world)
     results = runner.run_website_campaign(["tor", "dnstt"],
                                           world.tranco[:3], repetitions=1)
-    reloaded = read_csv(write_csv(results, tmp_path / "campaign.csv"))
+    path = tmp_path / "campaign.jsonl"
+    write_shard(results, path)
+    reloaded = ResultSet(iter_json_lines(path))
     _assert_equal(results, reloaded)
     # Loaded data supports the same analysis operations.
     assert reloaded.per_target_means("tor")
     assert reloaded.filter(pt="dnstt")
 
 
-# ---------------------------------------------------------------------------
-# streaming readers/writers (PR 5)
-# ---------------------------------------------------------------------------
-
-
-def test_iter_csv_streams_same_records_as_read_csv(tmp_path):
-    from repro.measure.io import iter_csv
-
-    original = sample_results()
-    path = write_csv(original, tmp_path / "r.csv")
-    streamed = list(iter_csv(path))
-    assert streamed == read_csv(path).records == original.records
-
-
-def test_write_csv_accepts_a_record_generator(tmp_path):
-    original = sample_results()
-    path = write_csv((r for r in original), tmp_path / "gen.csv")
-    _assert_equal(original, read_csv(path))
-
-
 def test_json_lines_roundtrip(tmp_path):
-    from repro.measure.io import iter_json_lines, read_json_lines, write_json_lines
-
+    """A generator input streams through write_shard unmaterialized
+    and reads back record for record."""
     original = sample_results()
-    path = write_json_lines(original, tmp_path / "shard.jsonl")
+    path = tmp_path / "shard.jsonl"
+    write_shard((r for r in original), path)
     assert path.read_text().count("\n") == len(original)
     assert list(iter_json_lines(path)) == original.records
-    _assert_equal(original, read_json_lines(path))
 
 
 @given(records=st.lists(_records, min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_json_lines_roundtrip_reproduces_every_field(tmp_path_factory,
                                                      records):
-    from repro.measure.io import iter_json_lines, write_json_lines
-
     original = ResultSet(records)
     path = tmp_path_factory.mktemp("io") / "prop.jsonl"
-    assert list(iter_json_lines(write_json_lines(original, path))) == \
-        original.records
+    write_shard(original, path)
+    assert list(iter_json_lines(path)) == original.records
 
 
 # ---------------------------------------------------------------------------
 # unknown-column handling (PR 5 bugfix: no silent data loss)
 # ---------------------------------------------------------------------------
 
-_EXTRA_HEADER = (
-    "pt,category,target,kind,method,client,server,medium,duration_s,"
-    "ttfb_s,speed_index_s,status,bytes_expected,bytes_received,"
-    "repetition,sim_time_s,meta,vantage\n"
-    "tor,baseline,site0,website,curl,London,Frankfurt,wired,2.5,"
-    "0.8,,complete,1000.0,1000.0,1,17.25,,probe-7\n")
 
-
-def test_read_csv_folds_unknown_columns_into_meta(tmp_path):
-    """A hand-edited or newer-format file must not lose fields silently."""
-    path = tmp_path / "extra.csv"
-    path.write_text(_EXTRA_HEADER)
-    record = read_csv(path).records[0]
+def test_unknown_columns_fold_into_meta():
+    """A hand-edited or newer-format row must not lose fields silently."""
+    row = {**_legacy_row(vantage="probe-7"), "sim_time_s": 17.25,
+           "meta": {}}
+    record = rows_to_result_set([row]).records[0]
     assert record.meta == {"vantage": "probe-7"}
     assert record.duration_s == 2.5
 
 
-def test_read_csv_strict_raises_on_unknown_columns(tmp_path):
-    path = tmp_path / "extra.csv"
-    path.write_text(_EXTRA_HEADER)
-    with pytest.raises(ValueError, match="vantage"):
-        read_csv(path, strict=True)
-
-
-def test_unknown_column_does_not_clobber_explicit_meta(tmp_path):
-    path = tmp_path / "extra.csv"
-    path.write_text(
-        "pt,category,target,kind,method,client,server,medium,duration_s,"
-        "ttfb_s,speed_index_s,status,bytes_expected,bytes_received,"
-        "repetition,sim_time_s,meta,vantage\n"
-        "tor,baseline,site0,website,curl,London,Frankfurt,wired,2.5,"
-        "0.8,,complete,1000.0,1000.0,1,17.25,\"{\"\"vantage\"\": \"\"real\"\"}\","
-        "shadow\n")
-    record = read_csv(path).records[0]
-    # The explicit meta cell wins the key collision.
+def test_unknown_column_does_not_clobber_explicit_meta():
+    row = {**_legacy_row(vantage="shadow"), "sim_time_s": 17.25,
+           "meta": {"vantage": "real"}}
+    record = rows_to_result_set([row]).records[0]
+    # The explicit meta object wins the key collision.
     assert record.meta == {"vantage": "real"}
 
 
-def test_legacy_short_header_with_unknown_column(tmp_path):
+def test_legacy_short_header_with_unknown_column():
     """Missing trailing columns and an unknown one, together."""
-    path = tmp_path / "legacy-extra.csv"
-    path.write_text(
-        "pt,category,target,kind,method,client,server,medium,duration_s,"
-        "ttfb_s,speed_index_s,status,bytes_expected,bytes_received,"
-        "repetition,operator\n"
-        "tor,baseline,site0,website,curl,London,Frankfurt,wired,2.5,"
-        "0.8,,complete,1000.0,1000.0,1,alice\n")
-    record = read_csv(path).records[0]
+    record = rows_to_result_set([_legacy_row(operator="alice")]).records[0]
     assert record.sim_time_s == 0.0
     assert record.meta == {"operator": "alice"}
 
 
 def test_rows_to_result_set_strict_flag():
-    from repro.measure.io import rows_to_result_set as r2rs
-
+    """Unknown keys always fold into meta: no mode raises on them."""
     rows = sample_results().to_rows()
     rows[0]["mystery"] = 1
-    assert r2rs(rows).records[0].meta == {"mystery": 1}
-    with pytest.raises(ValueError, match="mystery"):
-        r2rs(rows, strict=True)
+    assert rows_to_result_set(rows).records[0].meta == {"mystery": 1}
 
 
 def test_invalid_enum_value_raises_value_error():
@@ -290,18 +206,16 @@ def test_missing_enum_column_still_raises_key_error():
 
 
 def test_write_shard_is_atomic_and_digested(tmp_path):
-    """write_shard bytes equal write_json_lines bytes, the digest
-    matches the file, and no .tmp survives the rename."""
+    """write_shard bytes are the row_lines bytes, the digest matches
+    the file, and no .tmp survives the rename."""
     import hashlib
 
-    from repro.measure.io import file_digest, write_json_lines, write_shard
+    from repro.measure.io import file_digest
 
     results = sample_results()
-    plain = tmp_path / "plain.jsonl"
     atomic = tmp_path / "atomic.jsonl"
-    write_json_lines(results, plain)
     n_rows, digest = write_shard(results, atomic)
-    assert atomic.read_bytes() == plain.read_bytes()
+    assert atomic.read_bytes() == "".join(row_lines(results)).encode()
     assert n_rows == len(results)
     assert digest == hashlib.sha256(atomic.read_bytes()).hexdigest()
     assert digest == file_digest(atomic)
@@ -311,20 +225,26 @@ def test_write_shard_is_atomic_and_digested(tmp_path):
 def test_write_shard_replaces_torn_previous_content(tmp_path):
     """A retry's atomic write fully replaces whatever a killed attempt
     left at the final path."""
-    from repro.measure.io import read_json_lines, write_shard
-
     path = tmp_path / "shard.jsonl"
     path.write_bytes(b'{"torn": ')
     write_shard(sample_results(), path)
-    assert read_json_lines(path).records == sample_results().records
+    assert list(iter_json_lines(path)) == sample_results().records
 
 
 def test_row_lines_match_written_file(tmp_path):
-    from repro.measure.io import row_lines, write_json_lines
+    """The spool merge copies row_lines through AtomicShardWriter; its
+    file must hold the same bytes write_shard publishes."""
+    from repro.measure.io import AtomicShardWriter
 
-    path = tmp_path / "x.jsonl"
-    write_json_lines(sample_results(), path)
-    assert "".join(row_lines(sample_results())) == path.read_text()
+    shard = tmp_path / "shard.jsonl"
+    write_shard(sample_results(), shard)
+    copied = tmp_path / "copied.jsonl"
+    writer = AtomicShardWriter(copied)
+    for line in row_lines(sample_results()):
+        writer.write(line)
+    writer.commit()
+    assert copied.read_text() == shard.read_text() == \
+        "".join(row_lines(sample_results()))
 
 
 def test_atomic_shard_writer_publishes_only_on_commit(tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import backend
 from repro.errors import ConfigError
+from repro.measure.io import write_shard
 from repro.measure.records import (
     MeasurementRecord,
     Method,
@@ -161,6 +162,9 @@ def test_empty_store_matches_empty_result_set(tmp_path):
     assert store.per_target_mean_table() == rs.per_target_mean_table()
     assert store.status_fractions_by_pt() == rs.status_fractions_by_pt()
     assert store.pts() == [] and not store
+    for side in (store, rs):
+        with pytest.raises(ValueError, match="cannot group by 'bogus'"):
+            side.values_by("duration_s", by="bogus")
 
 
 def test_pt_categories_strict_raises_across_shards(tmp_path):
@@ -244,15 +248,13 @@ def test_exact_sum_is_fsum_under_any_split(values, cut):
 
 def test_open_orders_shards_numerically(tmp_path):
     """Lexicographic order breaks past the name padding; open() must not."""
-    from repro.measure.io import write_json_lines
-
     directory = tmp_path / "big"
     directory.mkdir()
     first = rec(target="first")
     second = rec(target="second")
     # shard-100000 sorts *before* shard-99999 as a string.
-    write_json_lines([first], directory / "shard-99999.jsonl")
-    write_json_lines([second], directory / "shard-100000.jsonl")
+    write_shard([first], directory / "shard-99999.jsonl")
+    write_shard([second], directory / "shard-100000.jsonl")
     store = ShardedResultStore.open(directory)
     assert [r.target for r in store.iter_records()] == ["first", "second"]
     assert len(store) == 2
@@ -273,12 +275,10 @@ def test_open_counts_lines_lazily(tmp_path):
 def test_spill_after_adopting_gapped_shards_never_overwrites(tmp_path):
     """Shard numbering continues past the highest existing index, so a
     pruned shard's gap can't cause a silent overwrite."""
-    from repro.measure.io import write_json_lines
-
     directory = tmp_path / "gap"
     directory.mkdir()
-    write_json_lines([rec(target="keep0")], directory / "shard-00000.jsonl")
-    write_json_lines([rec(target="keep2")], directory / "shard-00002.jsonl")
+    write_shard([rec(target="keep0")], directory / "shard-00000.jsonl")
+    write_shard([rec(target="keep2")], directory / "shard-00002.jsonl")
     store = ShardedResultStore.open(directory, chunk_size=1)
     store.append(rec(target="new"))
     assert (directory / "shard-00003.jsonl").exists()
@@ -295,12 +295,10 @@ def test_spill_after_adopting_gapped_shards_never_overwrites(tmp_path):
 def test_open_quarantines_torn_trailing_shard(tmp_path):
     """A shard ending in a torn line is renamed aside, reported on
     store.quarantined, and the store carries on with intact shards."""
-    from repro.measure.io import write_json_lines
-
     directory = tmp_path / "dmg"
     directory.mkdir()
-    write_json_lines([rec(target="good")], directory / "shard-00000.jsonl")
-    write_json_lines([rec(target="doomed")], directory / "shard-00001.jsonl")
+    write_shard([rec(target="good")], directory / "shard-00000.jsonl")
+    write_shard([rec(target="doomed")], directory / "shard-00001.jsonl")
     torn = directory / "shard-00001.jsonl"
     torn.write_bytes(torn.read_bytes()[:-20])      # tear the tail
     store = ShardedResultStore.open(directory)
@@ -313,12 +311,10 @@ def test_open_quarantines_torn_trailing_shard(tmp_path):
 
 
 def test_open_quarantines_unparseable_tail(tmp_path):
-    from repro.measure.io import write_json_lines
-
     directory = tmp_path / "dmg"
     directory.mkdir()
     path = directory / "shard-00000.jsonl"
-    write_json_lines([rec(target="t")], path)
+    write_shard([rec(target="t")], path)
     with path.open("ab") as handle:
         handle.write(b'{"not": json}\n')
     store = ShardedResultStore.open(directory)
@@ -335,28 +331,22 @@ def test_open_accepts_empty_shard(tmp_path):
     assert len(store) == 0
 
 
-def test_open_validate_false_skips_quarantine(tmp_path):
-    from repro.measure.io import write_json_lines
-
-    directory = tmp_path / "raw"
-    directory.mkdir()
-    path = directory / "shard-00000.jsonl"
-    write_json_lines([rec(target="t")], path)
-    path.write_bytes(path.read_bytes()[:-5])
-    store = ShardedResultStore.open(directory, validate=False)
-    assert store.quarantined == ()
-    assert path.exists()
+def test_open_refuses_a_missing_directory(tmp_path):
+    """A mistyped path must not read as an empty campaign, and opening
+    it must not create the directory."""
+    missing = tmp_path / "typo" / "does-not-exist"
+    with pytest.raises(ConfigError, match="does-not-exist"):
+        ShardedResultStore.open(missing)
+    assert not (tmp_path / "typo").exists()
 
 
 def test_open_with_shard_counts_and_corruption_is_an_error(tmp_path):
     """A writer that knows its counts wrote the shards now — damage
     means its bookkeeping is wrong, which must not degrade silently."""
-    from repro.measure.io import write_json_lines
-
     directory = tmp_path / "fresh"
     directory.mkdir()
     path = directory / "shard-00000.jsonl"
-    write_json_lines([rec(target="t")], path)
+    write_shard([rec(target="t")], path)
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(ConfigError, match="corrupt"):
         ShardedResultStore.open(directory, shard_counts=[1])
@@ -365,13 +355,11 @@ def test_open_with_shard_counts_and_corruption_is_an_error(tmp_path):
 def test_spill_after_quarantine_never_reuses_the_index(tmp_path):
     """The quarantined shard's number stays claimed: a later spill must
     not mint shard-00001 again while shard-00001.jsonl.corrupt exists."""
-    from repro.measure.io import write_json_lines
-
     directory = tmp_path / "reuse"
     directory.mkdir()
-    write_json_lines([rec(target="a")], directory / "shard-00000.jsonl")
+    write_shard([rec(target="a")], directory / "shard-00000.jsonl")
     torn = directory / "shard-00001.jsonl"
-    write_json_lines([rec(target="b")], torn)
+    write_shard([rec(target="b")], torn)
     torn.write_bytes(torn.read_bytes()[:-5])
     store = ShardedResultStore.open(directory, chunk_size=1)
     store.append(rec(target="c"))
