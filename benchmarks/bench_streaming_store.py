@@ -3,17 +3,18 @@
 Synthesizes a beyond-paper-scale campaign (>= 1M measurement records by
 default; override with ``STREAMING_BENCH_RECORDS``) and runs the
 acceptance reductions — ``per_target_mean_table``, ``values_by``,
-``status_fractions_by_pt`` — through two paths:
+``status_fractions_by_pt`` — over two containers that share one
+reduction engine, the ``ChunkedColumnStore`` fold:
 
-* **in-memory** — every record materialized in a ``ResultSet``, the
-  PR 3 columnar pipeline;
+* **in-memory** — every record materialized in a ``ResultSet``, which
+  the fold reduces as one chunk;
 * **streaming** — records appended straight into a
-  ``ShardedResultStore`` (JSONL shards on disk), reductions folded
-  shard by shard through the ``ChunkedColumnStore``.
+  ``ShardedResultStore`` (JSONL shards on disk), which the fold reduces
+  shard by shard.
 
 Asserts (a) the streaming path's peak ``tracemalloc`` memory is at most
 25% of the in-memory path's, (b) every reduction is *bit-identical*
-across the two paths, and (c)
+between one chunk and many shards, and (c)
 ``ParallelCampaign`` spool mode reproduces the in-memory merge
 bit-identically at ``workers=1`` and ``workers=4``.
 """

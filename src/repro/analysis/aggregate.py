@@ -6,49 +6,26 @@ engine) instead of re-filtering the full record list per transport —
 the old per-PT ``filter()`` loops were O(PTs x records) and dominated
 paper-scale analysis runs.
 
-The ``results`` argument is duck-typed on the shared reduction surface
-(``pts``/``values_by``/``per_target_mean_table``/``pt_categories``/
-``status_fractions_by_pt``): both the in-memory
-:class:`~repro.measure.records.ResultSet` and the out-of-core
-:class:`~repro.measure.store.ShardedResultStore` satisfy it, so the
-same figure/table code runs over campaigns that never fit in RAM.
+The ``results`` argument is a
+:class:`~repro.measure.records.ReducibleResults`: the in-memory
+:class:`~repro.measure.records.ResultSet` or the out-of-core
+:class:`~repro.measure.store.ShardedResultStore`. Both reduce through
+one engine, so the same figure/table code runs over campaigns that
+never fit in RAM.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Protocol
+from typing import Mapping, Optional
 
 from repro.analysis import backend
 from repro.analysis.boxstats import BoxStats
 from repro.analysis.ecdf import ECDF
 from repro.analysis.stats import PairedTTest, paired_t_test
-from repro.measure.records import GroupedValues, Method
+from repro.measure.records import Method, ReducibleResults
 
 #: Display label for the vanilla-Tor baseline in t-test tables.
 _BASELINE_LABEL = "Tor"
-
-
-class SupportsReductions(Protocol):
-    """What a result container must expose for the aggregations here."""
-
-    def pts(self) -> list[str]: ...
-
-    def values_by(self, value: str = ..., *, by: str = ...,
-                  method: Optional[Method] = ...,
-                  sort: bool = ...) -> GroupedValues: ...
-
-    def per_target_mean_table(self, value: str = ...,
-                              method: Optional[Method] = ...,
-                              ) -> dict[str, dict[str, float]]: ...
-
-    def pt_categories(self, strict: bool = ...) -> dict[str, str]: ...
-
-    def status_fractions_by_pt(self) -> dict: ...
-
-
-#: Accepted by every aggregation: ResultSet, ShardedResultStore, or any
-#: other container implementing the reduction surface.
-Results = SupportsReductions
 
 
 def pt_label(pt: str, category: str) -> str:
@@ -68,7 +45,7 @@ def pair_label(pt_a: str, pt_b: str, categories: Mapping[str, str]) -> str:
             f"{pt_label(pt_b, categories.get(pt_b, ''))}")
 
 
-def box_by_pt(results: Results, *, value: str = "duration_s",
+def box_by_pt(results: ReducibleResults, *, value: str = "duration_s",
               method: Optional[Method] = None) -> dict[str, BoxStats]:
     """Per-PT box statistics of per-target means (box-plot figures)."""
     table = results.per_target_mean_table(value, method)
@@ -76,7 +53,7 @@ def box_by_pt(results: Results, *, value: str = "duration_s",
             for pt, means in table.items()}
 
 
-def mean_by_pt(results: Results, *, value: str = "duration_s",
+def mean_by_pt(results: ReducibleResults, *, value: str = "duration_s",
                method: Optional[Method] = None) -> dict[str, float]:
     """Per-PT mean over per-target means."""
     table = results.per_target_mean_table(value, method)
@@ -84,7 +61,7 @@ def mean_by_pt(results: Results, *, value: str = "duration_s",
             for pt, means in table.items()}
 
 
-def ttest_matrix(results: Results, *, value: str = "duration_s",
+def ttest_matrix(results: ReducibleResults, *, value: str = "duration_s",
                  method: Optional[Method] = None,
                  pairs: Optional[list[tuple[str, str]]] = None,
                  ) -> dict[str, PairedTTest]:
@@ -113,7 +90,7 @@ def ttest_matrix(results: Results, *, value: str = "duration_s",
     return tests
 
 
-def category_ttests(results: Results, *, value: str = "duration_s",
+def category_ttests(results: ReducibleResults, *, value: str = "duration_s",
                     method: Optional[Method] = None) -> dict[str, PairedTTest]:
     """Paired t-tests between PT *categories* (Table 10).
 
@@ -149,7 +126,7 @@ def category_ttests(results: Results, *, value: str = "duration_s",
     return tests
 
 
-def ecdf_by_pt(results: Results, *, value: str = "ttfb_s",
+def ecdf_by_pt(results: ReducibleResults, *, value: str = "ttfb_s",
                method: Optional[Method] = None) -> dict[str, ECDF]:
     """Per-PT ECDF over raw record values (TTFB/fraction figures).
 
@@ -162,6 +139,6 @@ def ecdf_by_pt(results: Results, *, value: str = "ttfb_s",
             for pt, values in grouped.items() if values}
 
 
-def reliability_by_pt(results: Results) -> dict[str, Mapping]:
+def reliability_by_pt(results: ReducibleResults) -> dict[str, Mapping]:
     """Per-PT complete/partial/failed fractions (Figure 8a)."""
     return results.status_fractions_by_pt()

@@ -223,19 +223,6 @@ def group_flat(codes, values, n_groups: int,
     return flat, starts
 
 
-def group_sorted_flat(codes, values, n_groups: int,
-                      ) -> tuple[list[float], list[int]]:
-    """:func:`group_flat` with every group's slice sorted ascending.
-
-    ECDF construction over grouped values skips its own sort entirely.
-    """
-    flat, starts = group_flat(codes, values, n_groups)
-    for g in range(n_groups):
-        flat[starts[g]:starts[g + 1]] = \
-            sorted(flat[starts[g]:starts[g + 1]])
-    return flat, starts
-
-
 def group_counts(codes, n_groups: int) -> list[int]:
     """Per-group row counts (negative codes excluded)."""
     out = [0] * n_groups

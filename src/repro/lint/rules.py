@@ -461,8 +461,9 @@ class FloatAccumulationRule(Rule):
     summary = ("bare float accumulation in a reduction path (use "
                "backend.fsum / ExactSum / statistics.fmean)")
     policy = RulePolicy(
-        zones=("repro.analysis", "repro.measure.store",
-               "repro.measure.locations", "repro.measure.surge"),
+        zones=("repro.analysis", "repro.measure.records",
+               "repro.measure.store", "repro.measure.locations",
+               "repro.measure.surge"),
         # backend *implements* the exactly-rounded primitives.
         exempt=("repro.analysis.backend",))
 

@@ -19,15 +19,17 @@ from repro.measure.parallel import (
     matrix_cells,
 )
 from repro.measure.records import (
+    ChunkedColumnStore,
     ColumnStore,
     GroupedValues,
     MeasurementRecord,
     Method,
+    ReducibleResults,
     ResultSet,
     TargetKind,
     record_to_row,
 )
-from repro.measure.store import ChunkedColumnStore, ShardedResultStore
+from repro.measure.store import ShardedResultStore
 from repro.measure.supervise import (
     FailedUnit,
     RetryPolicy,
@@ -50,7 +52,7 @@ __all__ = [
     "FailedUnit", "FaultPlan", "GroupedValues", "LocationCell",
     "MeasurementRecord", "Method", "OVERLOAD_PACING",
     "POST_SEPTEMBER_MONTHS", "PRE_SEPTEMBER_MONTHS", "PacingPolicy",
-    "ParallelCampaign", "ResultSet", "RetryPolicy",
+    "ParallelCampaign", "ReducibleResults", "ResultSet", "RetryPolicy",
     "SNOWFLAKE_USER_TIMELINE", "ShardedResultStore", "Supervisor",
     "SurgePoint", "TargetKind", "UnitJournal", "UnitResult", "WorkUnit",
     "location_matrix", "matrix_cells", "mean_by_client", "ordering_by_cell",

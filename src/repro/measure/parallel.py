@@ -72,7 +72,12 @@ from repro.measure.campaign import CampaignRunner
 from repro.measure.ethics import DEFAULT_PACING, PacingPolicy
 from repro.measure.faults import FaultPlan
 from repro.measure.records import Method, ResultSet
-from repro.measure.store import DEFAULT_CHUNK_SIZE, ShardedResultStore
+from repro.measure.store import (
+    DEFAULT_CHUNK_SIZE,
+    ShardedResultStore,
+    remove_shards,
+    shard_path,
+)
 from repro.measure.supervise import (
     JOURNAL_NAME,
     FailedUnit,
@@ -517,7 +522,7 @@ class ParallelCampaign:
             }
             # The merged store is derived data — always rebuilt from the
             # unit shards, so a kill mid-merge can never poison a resume.
-            _clear_merged(merged_dir)
+            remove_shards(merged_dir)
         else:
             # Claim the spool directory *before* running anything: a
             # reused one must fail here, not after hours of simulation.
@@ -630,8 +635,7 @@ class ParallelCampaign:
                             if writer is not None:
                                 writer.commit()
                             writer = measure_io.AtomicShardWriter(
-                                merged_dir /
-                                f"shard-{len(counts):05d}.jsonl")
+                                shard_path(merged_dir, len(counts)))
                             counts.append(0)
                         writer.write(line)
                         counts[-1] += 1
@@ -686,15 +690,6 @@ def _shard_adoptable(spool_dir: Path) -> Callable[[dict], Optional[str]]:
         return None
 
     return validate
-
-
-def _clear_merged(merged_dir: Path) -> None:
-    """Drop a previous (possibly partial) merge — it is derived data."""
-    if not merged_dir.is_dir():
-        return
-    for path in merged_dir.iterdir():
-        if path.name.startswith("shard-"):
-            path.unlink()
 
 
 def matrix_cells(clients: Iterable[City], servers: Iterable[City],

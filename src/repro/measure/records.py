@@ -1,4 +1,4 @@
-"""Measurement records and result sets.
+"""Measurement records, result sets and their one reduction engine.
 
 Every individual download — whatever the transport, target, method or
 vantage point — produces one :class:`MeasurementRecord`. A
@@ -6,14 +6,20 @@ vantage point — produces one :class:`MeasurementRecord`. A
 grouping, and pairing operations the analysis layer needs (paired
 t-tests require per-target alignment across transports, exactly like
 the paper's appendix tables).
+
+Every reduction over records runs through :class:`ChunkedColumnStore`,
+which folds per-chunk extractions (:class:`ColumnStore`) into mergeable
+aggregates. A ``ResultSet`` reduces as one chunk, a
+:class:`~repro.measure.store.ShardedResultStore` as one chunk per
+shard; :class:`ReducibleResults` gives both the same reduction surface.
 """
 
 from __future__ import annotations
 
+import abc
 import enum
-import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.web.types import Status
@@ -71,27 +77,26 @@ _METHOD_CODE = {m: i for i, m in enumerate(_METHODS)}
 _STATUSES: tuple[Status, ...] = tuple(Status)
 _STATUS_CODE = {s: i for i, s in enumerate(_STATUSES)}
 
-#: The record fields :meth:`ColumnStore.grouped_values` can group by.
+#: The record fields a reduction can group by.
 _GROUP_KEYS = ("pt", "target", "method")
+#: The record fields a reduction can take values from: the float fields
+#: of :class:`MeasurementRecord`.
+_VALUE_FIELDS = ("duration_s", "ttfb_s", "speed_index_s",
+                 "bytes_expected", "bytes_received", "sim_time_s")
 
 
-def check_group_key(by: str) -> None:
-    """Raise the ``ValueError`` every store gives for an unknown ``by``."""
+def _check_value(value: str) -> None:
+    """Raise ``ValueError`` for a value name no float field carries."""
+    if value not in _VALUE_FIELDS:
+        raise ValueError(f"cannot reduce {value!r}; "
+                         f"known: {', '.join(_VALUE_FIELDS)}")
+
+
+def _check_group_key(by: str) -> None:
+    """Raise ``ValueError`` for an unknown ``by``."""
     if by not in _GROUP_KEYS:
         raise ValueError(f"cannot group by {by!r}; "
                          f"known: {', '.join(_GROUP_KEYS)}")
-
-
-def status_fractions_from_counts(counts: Sequence[int],
-                                 ) -> dict["Status", float]:
-    """Status -> fraction from per-status integer counts.
-
-    The one shared finalisation used by the in-memory and chunked
-    stores: identical integer sums divided identically are bit-equal.
-    """
-    total = sum(counts)
-    return {status: counts[s] / total
-            for s, status in enumerate(_STATUSES)}
 
 
 def record_to_row(r: MeasurementRecord) -> dict:
@@ -123,7 +128,7 @@ class GroupedValues:
     ``values`` holds every extracted value ordered by group (groups in
     label order, record order within a group); group i occupies
     ``values[starts[i]:starts[i + 1]]``. Produced by
-    :meth:`ResultSet.values_by` in a single pass over the records.
+    :meth:`ReducibleResults.values_by`.
     """
 
     labels: tuple[str, ...]
@@ -140,11 +145,13 @@ class GroupedValues:
 
 
 class ColumnStore:
-    """One-pass columnar view of a record list.
+    """One-pass columnar extraction of one chunk of records.
 
-    Extracts group codes (pt, target, method, status) and, lazily, one
-    value column per metric field, so the analysis reductions can be
-    batched instead of re-filtering the record list per transport.
+    Extracts group codes (pt, target, method, status) and per-PT
+    category sets up front, and a value column when a reduction asks
+    for one. It is the per-chunk half of :class:`ChunkedColumnStore`,
+    which builds one per chunk and pass, and checks value names and
+    group keys before it asks for them.
     """
 
     def __init__(self, records: Sequence[MeasurementRecord]) -> None:
@@ -159,10 +166,6 @@ class ColumnStore:
         status_codes: list[int] = []
         categories: dict[str, set[str]] = {}
         first_category: dict[str, str] = {}
-        # Snapshot the record list: a store retained across a mutation
-        # must stay internally consistent (its code columns were built
-        # from exactly these rows).
-        records = list(records)
         for r in records:
             pt_code = pt_index.get(r.pt)
             if pt_code is None:
@@ -185,21 +188,12 @@ class ColumnStore:
         self.target_codes = target_codes
         self.method_codes = method_codes
         self.status_codes = status_codes
-        self._categories = categories
-        self._first_category = first_category
+        #: pt -> every category its records carry / the first one seen.
+        self.categories = categories
+        self.first_category = first_category
         self._records = records
-        self._value_columns: dict[str, list[Optional[float]]] = {}
-        self._mean_tables: dict[tuple, dict[str, dict[str, float]]] = {}
 
     # -- column access -------------------------------------------------
-
-    def value_column(self, value: str) -> list[Optional[float]]:
-        """Per-record metric values (None preserved), extracted once."""
-        column = self._value_columns.get(value)
-        if column is None:
-            column = [getattr(r, value) for r in self._records]
-            self._value_columns[value] = column
-        return column
 
     def _masked_columns(self, value: str, method: Optional[Method],
                         base_codes: list[int],
@@ -209,7 +203,7 @@ class ColumnStore:
         Rows whose method mismatches the filter or whose metric is None
         get code -1 (excluded from every grouped reduction).
         """
-        column = self.value_column(value)
+        column = [getattr(r, value) for r in self._records]
         method_code = None if method is None else _METHOD_CODE[method]
         codes = [
             code if (method_code is None or m == method_code)
@@ -218,14 +212,13 @@ class ColumnStore:
         values = [0.0 if v is None else v for v in column]
         return codes, values
 
-    # -- grouped reductions --------------------------------------------
+    # -- grouped slices ------------------------------------------------
 
     def grouped_values(self, value: str, by: str = "pt",
-                       method: Optional[Method] = None,
-                       sort: bool = False) -> GroupedValues:
+                       method: Optional[Method] = None) -> GroupedValues:
+        """This chunk's values grouped by ``by``, record order kept."""
         from repro.analysis import backend
 
-        check_group_key(by)
         if by == "pt":
             labels: tuple[str, ...] = self.pts
             base_codes = self.pt_codes
@@ -236,35 +229,23 @@ class ColumnStore:
             labels = tuple(m.value for m in _METHODS)
             base_codes = self.method_codes
         codes, values = self._masked_columns(value, method, base_codes)
-        grouper = backend.group_sorted_flat if sort else backend.group_flat
-        flat, starts = grouper(codes, values, len(labels))
+        flat, starts = backend.group_flat(codes, values, len(labels))
         return GroupedValues(labels=labels, values=flat,
                              starts=tuple(starts))
-
-    def _pair_grouped_flat(self, value: str, method: Optional[Method],
-                           ) -> tuple[list[float], list[int]]:
-        """(pt, target)-grouped flat values: group (p, t) occupies
-        ``flat[starts[p * n_targets + t]:...]``."""
-        from repro.analysis import backend
-
-        n_targets = len(self.targets)
-        codes, values = self._masked_columns(value, method, self.pt_codes)
-        combined = [code * n_targets + target if code >= 0 else -1
-                    for code, target in zip(codes, self.target_codes)]
-        return backend.group_flat(combined, values,
-                                  len(self.pts) * n_targets)
 
     def per_target_groups(self, value: str, method: Optional[Method] = None,
                           ) -> Iterator[tuple[str, str, list[float]]]:
         """Yield (pt, target, values) for every non-empty (pt, target)
-        group, in pt-then-target first-seen order.
+        group, in pt-then-target first-seen order."""
+        from repro.analysis import backend
 
-        The chunked column store folds these per-shard slices into
-        mergeable exact sums; :meth:`per_target_mean_table` reduces them
-        directly.
-        """
-        flat, starts = self._pair_grouped_flat(value, method)
         n_targets = len(self.targets)
+        codes, values = self._masked_columns(value, method, self.pt_codes)
+        # Group (p, t) occupies flat[starts[p * n_targets + t]:...].
+        combined = [code * n_targets + target if code >= 0 else -1
+                    for code, target in zip(codes, self.target_codes)]
+        flat, starts = backend.group_flat(combined, values,
+                                          len(self.pts) * n_targets)
         for p, pt in enumerate(self.pts):
             base = p * n_targets
             for t, target in enumerate(self.targets):
@@ -272,58 +253,12 @@ class ColumnStore:
                 if hi > lo:
                     yield pt, target, flat[lo:hi]
 
-    def per_target_mean_table(self, value: str,
-                              method: Optional[Method] = None,
-                              ) -> dict[str, dict[str, float]]:
-        """pt -> target -> mean metric, grouped in one pass.
-
-        The paper accesses every website several times and averages per
-        website before testing; this computes that reduction for every
-        transport at once (the per-pair re-filtering it replaces was
-        O(pairs x records)) and memoizes it per (value, method) — one
-        report pipeline asks for the same table from box stats, means,
-        and both t-test reductions. Treat the returned nested dict as
-        read-only.
-        """
-        key = (value, method)
-        cached = self._mean_tables.get(key)
-        if cached is not None:
-            return cached
-
-        table: dict[str, dict[str, float]] = {}
-        for pt, target, values in self.per_target_groups(value, method):
-            table.setdefault(pt, {})[target] = \
-                math.fsum(values) / len(values)
-        self._mean_tables[key] = table
-        return table
-
-    def pt_categories(self, strict: bool = True) -> dict[str, str]:
-        """pt -> category, derived from *all* of a transport's records.
-
-        With ``strict=True`` (the default) a transport whose records
-        disagree on its category raises ``ValueError`` — a corrupt or
-        mis-merged result set would silently skew Table 10 otherwise.
-        ``strict=False`` falls back to the first-seen category, for
-        callers that only need labels and must not fail on transports
-        they are not even comparing.
-        """
-        out: dict[str, str] = {}
-        for pt in self.pts:
-            seen = self._categories[pt]
-            if len(seen) != 1 and strict:
-                raise ValueError(
-                    f"transport {pt!r} has inconsistent categories: "
-                    f"{sorted(seen)}")
-            out[pt] = self._first_category[pt]
-        return out
-
     def status_counts_by_pt(self) -> dict[str, list[int]]:
         """Per-PT record counts per status (``_STATUSES`` order).
 
         Integer counts are the mergeable form of the reliability
-        reduction: the chunked column store sums them across shards and
-        divides once, reproducing :meth:`status_fractions_by_pt`
-        bitwise.
+        reduction: the chunk fold sums them across chunks and divides
+        once.
         """
         from repro.analysis import backend
 
@@ -335,22 +270,292 @@ class ColumnStore:
         return {pt: counts[p * n_statuses:(p + 1) * n_statuses]
                 for p, pt in enumerate(self.pts)}
 
-    def status_fractions_by_pt(self) -> dict[str, dict[Status, float]]:
-        """Per-PT complete/partial/failed fractions in one grouped pass."""
-        return {pt: status_fractions_from_counts(counts)
-                for pt, counts in self.status_counts_by_pt().items()}
 
-    def category_info(self) -> tuple[dict[str, set], dict[str, str]]:
-        """(pt -> categories seen, pt -> first-seen category).
+class ChunkedColumnStore:
+    """The reduction engine: record chunks folded one at a time.
 
-        Read-only views of the extraction pass's category bookkeeping;
-        the chunked column store merges them across shards to reproduce
-        :meth:`pt_categories` without re-reading records.
+    ``chunks`` is a zero-argument callable returning a fresh iterable
+    of record sequences. A :class:`ResultSet` is one chunk, the
+    snapshot of its records; a
+    :class:`~repro.measure.store.ShardedResultStore` is one chunk per
+    shard file plus its live buffer. Each reduction streams the chunks
+    once, extracting each with a :class:`ColumnStore` and folding
+    mergeable aggregates — exact sums via
+    :class:`repro.analysis.backend.ExactSum`, integer status counts,
+    first-seen label registries — so no result depends on where the
+    chunk boundaries fall. Labels (transports, targets) register in
+    global first-seen order as chunks stream by.
+
+    Memory: the fold-based reductions (:meth:`per_target_mean_table`,
+    :meth:`status_fractions_by_pt`, :meth:`pt_categories`) hold one
+    chunk of records plus O(groups) aggregates. :meth:`grouped_values`
+    is different by contract — its return value *is* every included
+    metric value, so it costs O(included records) floats (though never
+    the record objects themselves, which is the dominant term a sharded
+    store avoids).
+
+    The other deliberate caveat: every reduction call is a full pass
+    over the chunks (a disk re-read for file-backed stores). Mean
+    tables memoize per (value, method).
+    """
+
+    def __init__(self, chunks: Callable[[], Iterable[Sequence[MeasurementRecord]]],
+                 ) -> None:
+        self._chunks = chunks
+        self.n = 0
+        self._pts: list[str] = []
+        self._pt_index: dict[str, int] = {}
+        self._targets: list[str] = []
+        self._target_index: dict[str, int] = {}
+        self._categories: dict[str, set[str]] = {}
+        self._first_category: dict[str, str] = {}
+        self._status_counts: dict[str, list[int]] = {}
+        self._scanned = False
+        self._mean_tables: dict[tuple, dict[str, dict[str, float]]] = {}
+
+    # -- streaming machinery -------------------------------------------
+
+    def _register(self, store: ColumnStore) -> None:
+        """Merge one chunk's label/category registries into the globals."""
+        for pt in store.pts:
+            if pt not in self._pt_index:
+                self._pt_index[pt] = len(self._pts)
+                self._pts.append(pt)
+        for target in store.targets:
+            if target not in self._target_index:
+                self._target_index[target] = len(self._targets)
+                self._targets.append(target)
+        for pt, seen in store.categories.items():
+            self._categories.setdefault(pt, set()).update(seen)
+        for pt, category in store.first_category.items():
+            self._first_category.setdefault(pt, category)
+
+    def _chunk_stores(self) -> Iterator[ColumnStore]:
+        """One full pass: per-chunk column stores, bookkeeping folded.
+
+        The first complete pass also accumulates the value-independent
+        aggregates (record count, per-PT status counts); later passes
+        only pay for the reduction they serve.
         """
-        return self._categories, self._first_category
+        scan = not self._scanned
+        n = 0
+        counts: dict[str, list[int]] = {}
+        for chunk in self._chunks():
+            store = ColumnStore(chunk)
+            self._register(store)
+            if scan:
+                n += store.n
+                for pt, chunk_counts in store.status_counts_by_pt().items():
+                    merged = counts.get(pt)
+                    if merged is None:
+                        counts[pt] = list(chunk_counts)
+                    else:
+                        for i, c in enumerate(chunk_counts):
+                            merged[i] += c
+            yield store
+        if scan:
+            self.n = n
+            self._status_counts = counts
+            self._scanned = True
+
+    def _ensure_scanned(self) -> None:
+        if not self._scanned:
+            for _ in self._chunk_stores():
+                pass
+
+    # -- the reductions ------------------------------------------------
+
+    @property
+    def pts(self) -> tuple[str, ...]:
+        self._ensure_scanned()
+        return tuple(self._pts)
+
+    @property
+    def targets(self) -> tuple[str, ...]:
+        self._ensure_scanned()
+        return tuple(self._targets)
+
+    def grouped_values(self, value: str, by: str = "pt",
+                       method: Optional[Method] = None,
+                       sort: bool = False) -> GroupedValues:
+        """Flat metric values with group slices.
+
+        ``by`` is ``"pt"``, ``"target"`` or ``"method"``; records whose
+        metric is None (or whose method mismatches the filter) are
+        skipped. Chunk slices are concatenated per label (chunk order =
+        record order), and with ``sort=True`` each complete group is
+        sorted once at the end (what ECDF construction wants).
+        """
+        from repro.analysis import backend
+
+        # Checked up front: an empty store streams no chunk that would
+        # trip over an unknown name.
+        _check_value(value)
+        _check_group_key(by)
+        buckets: dict[str, list[float]] = {}
+        if by == "method":
+            # Fixed label set, present even for an empty store.
+            buckets = {m.value: [] for m in Method}
+        for store in self._chunk_stores():
+            grouped = store.grouped_values(value, by=by, method=method)
+            for label, values in grouped.items():
+                bucket = buckets.get(label)
+                if bucket is None:
+                    bucket = buckets[label] = []
+                bucket.extend(values)
+        labels = tuple(buckets)
+        flat: list[float] = []
+        starts = [0]
+        for label in labels:
+            # Pop as we go: with sort=True each group's sorted copy
+            # replaces its bucket instead of coexisting with it, so the
+            # assembly never holds two copies of the full column.
+            values = buckets.pop(label)
+            flat.extend(backend.sort_values(values) if sort else values)
+            starts.append(len(flat))
+        return GroupedValues(labels=labels, values=flat,
+                             starts=tuple(starts))
+
+    def per_target_mean_table(self, value: str,
+                              method: Optional[Method] = None,
+                              ) -> dict[str, dict[str, float]]:
+        """pt -> target -> mean metric, for every transport at once.
+
+        The paper accesses every website several times and averages per
+        website before testing. Each (pt, target) group accumulates a
+        :class:`~repro.analysis.backend.ExactSum` fed one chunk slice
+        at a time, whose final rounding equals one ``fsum`` over the
+        whole group. Memoized per (value, method) — one report pipeline
+        asks for the same table from box stats, means, and both t-test
+        reductions. Treat the returned nested dict as read-only.
+        """
+        from repro.analysis import backend
+
+        _check_value(value)
+        key = (value, method)
+        cached = self._mean_tables.get(key)
+        if cached is not None:
+            return cached
+
+        sums: dict[tuple[str, str], backend.ExactSum] = {}
+        for store in self._chunk_stores():
+            for pt, target, values in store.per_target_groups(value, method):
+                acc = sums.get((pt, target))
+                if acc is None:
+                    acc = sums[(pt, target)] = backend.ExactSum()
+                acc.add(values)
+        table: dict[str, dict[str, float]] = {}
+        for pt in self._pts:
+            row: dict[str, float] = {}
+            for target in self._targets:
+                acc = sums.get((pt, target))
+                if acc is not None:
+                    row[target] = acc.mean()
+            if row:
+                table[pt] = row
+        self._mean_tables[key] = table
+        return table
+
+    def pt_categories(self, strict: bool = True) -> dict[str, str]:
+        """pt -> category, derived from *all* of a transport's records.
+
+        With ``strict=True`` (the default) a transport whose records
+        disagree on its category raises ``ValueError`` — a corrupt or
+        mis-merged result set would silently skew Table 10 otherwise —
+        even when the conflicting records sit in different chunks.
+        ``strict=False`` falls back to the first-seen category, for
+        callers that only need labels and must not fail on transports
+        they are not even comparing.
+        """
+        self._ensure_scanned()
+        out: dict[str, str] = {}
+        for pt in self._pts:
+            seen = self._categories[pt]
+            if len(seen) != 1 and strict:
+                raise ValueError(
+                    f"transport {pt!r} has inconsistent categories: "
+                    f"{sorted(seen)}")
+            out[pt] = self._first_category[pt]
+        return out
+
+    def status_fractions_by_pt(self) -> dict[str, dict[Status, float]]:
+        """Per-PT status fractions from merged integer chunk counts."""
+        self._ensure_scanned()
+        fractions: dict[str, dict[Status, float]] = {}
+        for pt, counts in self._status_counts.items():
+            # replint: allow[NUM01] -- integer status counts; exact under built-in sum
+            total = sum(counts)
+            fractions[pt] = {status: counts[s] / total
+                             for s, status in enumerate(_STATUSES)}
+        return fractions
 
 
-class ResultSet:
+class ReducibleResults(abc.ABC):
+    """The reduction surface of a record container.
+
+    :class:`ResultSet` and
+    :class:`~repro.measure.store.ShardedResultStore` share it, so the
+    analysis layer runs unchanged over either. A subclass names the
+    chunks its records come in (:meth:`_chunk_source`) and bumps
+    ``_version`` on every mutation; every reduction goes through the
+    cached :meth:`columns` view.
+    """
+
+    def __init__(self) -> None:
+        #: Monotonic mutation counter; ``columns()`` caches against it.
+        self._version = 0
+        self._columns: Optional[ChunkedColumnStore] = None
+        self._columns_version = -1
+
+    @abc.abstractmethod
+    def _chunk_source(self,
+                      ) -> Callable[[], Iterable[Sequence[MeasurementRecord]]]:
+        """The chunk provider a newly built columnar view folds."""
+
+    def columns(self) -> ChunkedColumnStore:
+        """The cached columnar view (rebuilt after a mutation).
+
+        Invalidation is by mutation version, not by length: a length
+        check alone would serve a stale view after any equal-length
+        change.
+        """
+        if self._columns is None or self._columns_version != self._version:
+            self._columns = ChunkedColumnStore(self._chunk_source())
+            self._columns_version = self._version
+        return self._columns
+
+    def pts(self) -> list[str]:
+        """Distinct transport names, in first-seen order."""
+        return list(self.columns().pts)
+
+    def targets(self) -> list[str]:
+        """Distinct target names, in first-seen order."""
+        return list(self.columns().targets)
+
+    def values_by(self, value: str = "duration_s", *, by: str = "pt",
+                  method: Optional[Method] = None,
+                  sort: bool = False) -> GroupedValues:
+        """Flat metric values with group slices (see
+        :meth:`ChunkedColumnStore.grouped_values`)."""
+        return self.columns().grouped_values(value, by=by, method=method,
+                                             sort=sort)
+
+    def per_target_mean_table(self, value: str = "duration_s",
+                              method: Optional[Method] = None,
+                              ) -> dict[str, dict[str, float]]:
+        """pt -> target -> mean metric for every transport in one pass."""
+        return self.columns().per_target_mean_table(value, method)
+
+    def pt_categories(self, strict: bool = True) -> dict[str, str]:
+        """pt -> category (with ``strict``, raises on inconsistency)."""
+        return self.columns().pt_categories(strict=strict)
+
+    def status_fractions_by_pt(self) -> dict[str, dict[Status, float]]:
+        """Per-PT complete/partial/failed fractions (Figure 8a)."""
+        return self.columns().status_fractions_by_pt()
+
+
+class ResultSet(ReducibleResults):
     """An ordered collection of measurement records.
 
     Mutate only through :meth:`append` / :meth:`extend` — they bump the
@@ -362,11 +567,8 @@ class ResultSet:
     """
 
     def __init__(self, records: Iterable[MeasurementRecord] = ()) -> None:
+        super().__init__()
         self._records: list[MeasurementRecord] = list(records)
-        self._columns: Optional[ColumnStore] = None
-        #: Monotonic mutation counter; ``columns()`` caches against it.
-        self._version = 0
-        self._columns_version = -1
 
     @property
     def records(self) -> list[MeasurementRecord]:
@@ -394,6 +596,13 @@ class ResultSet:
 
     def __bool__(self) -> bool:
         return bool(self.records)
+
+    def _chunk_source(self,
+                      ) -> Callable[[], Iterable[Sequence[MeasurementRecord]]]:
+        # One chunk, snapshotted now: a view retained across a mutation
+        # keeps serving the records it was built over.
+        chunks = (list(self._records),)
+        return lambda: chunks
 
     # -- filtering -------------------------------------------------------
 
@@ -427,31 +636,16 @@ class ResultSet:
 
     # -- grouping --------------------------------------------------------
 
-    def pts(self) -> list[str]:
-        """Distinct transport names, in first-seen order."""
-        return list(self.columns().pts)
-
     def by_pt(self) -> dict[str, "ResultSet"]:
         groups: dict[str, ResultSet] = {}
         for r in self.records:
             groups.setdefault(r.pt, ResultSet()).append(r)
         return groups
 
-    def targets(self) -> list[str]:
-        """Distinct target names, in first-seen order."""
-        return list(self.columns().targets)
-
     # -- values ------------------------------------------------------------
 
     def durations(self) -> list[float]:
         return [r.duration_s for r in self.records]
-
-    def ttfbs(self) -> list[float]:
-        return [r.ttfb_s for r in self.records if r.ttfb_s is not None]
-
-    def speed_indices(self) -> list[float]:
-        return [r.speed_index_s for r in self.records
-                if r.speed_index_s is not None]
 
     def fractions_downloaded(self) -> list[float]:
         return [r.fraction_downloaded for r in self.records]
@@ -460,11 +654,6 @@ class ResultSet:
         if not self.records:
             raise ValueError("empty result set")
         return statistics.fmean(self.durations())
-
-    def median_duration(self) -> float:
-        if not self.records:
-            raise ValueError("empty result set")
-        return statistics.median(self.durations())
 
     # -- reliability ---------------------------------------------------
 
@@ -475,50 +664,6 @@ class ResultSet:
         n = len(self.records)
         return {s: sum(1 for r in self.records if r.status is s) / n
                 for s in Status}
-
-    # -- columnar extraction --------------------------------------------
-
-    def columns(self) -> ColumnStore:
-        """The cached columnar view (rebuilt when records were added).
-
-        Invalidation is by mutation version, not by length: a length
-        check alone would serve a stale store after any equal-length
-        change. Every :meth:`append`/:meth:`extend` bumps the version;
-        direct mutation of ``.records`` bypasses it and is unsupported
-        (see the class docs).
-        """
-        if self._columns is None or self._columns_version != self._version:
-            self._columns = ColumnStore(self._records)
-            self._columns_version = self._version
-        return self._columns
-
-    def values_by(self, value: str = "duration_s", *, by: str = "pt",
-                  method: Optional[Method] = None,
-                  sort: bool = False) -> GroupedValues:
-        """Flat metric values with group slices, extracted in one pass.
-
-        ``by`` is ``"pt"``, ``"target"`` or ``"method"``; records whose
-        metric is None (or whose method mismatches the filter) are
-        skipped, as the per-group loops they replace did. With
-        ``sort=True`` every group's slice comes back sorted ascending
-        (one vectorized pass — what ECDF construction wants).
-        """
-        return self.columns().grouped_values(value, by=by, method=method,
-                                             sort=sort)
-
-    def per_target_mean_table(self, value: str = "duration_s",
-                              method: Optional[Method] = None,
-                              ) -> dict[str, dict[str, float]]:
-        """pt -> target -> mean metric for every transport in one pass."""
-        return self.columns().per_target_mean_table(value, method)
-
-    def pt_categories(self, strict: bool = True) -> dict[str, str]:
-        """pt -> category (with ``strict``, raises on inconsistency)."""
-        return self.columns().pt_categories(strict=strict)
-
-    def status_fractions_by_pt(self) -> dict[str, dict[Status, float]]:
-        """Per-PT complete/partial/failed fractions (Figure 8a)."""
-        return self.columns().status_fractions_by_pt()
 
     # -- pairing (for paired t-tests) -----------------------------------
 
@@ -546,7 +691,3 @@ class ResultSet:
     def to_rows(self) -> list[dict]:
         """Plain-dict rows (stable keys) for serialisation/reporting."""
         return [record_to_row(r) for r in self.records]
-
-    def relabel(self, **changes) -> "ResultSet":
-        """Copy with fields overridden on every record (e.g. medium)."""
-        return ResultSet(replace(r, **changes) for r in self.records)

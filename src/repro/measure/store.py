@@ -3,59 +3,84 @@
 The paper's headline artifact is a dataset of *millions* of PT
 measurements; holding every :class:`~repro.measure.records.MeasurementRecord`
 in RAM makes paper-scale campaigns memory-bound long before they are
-CPU-bound. This module is the scale leg of the roadmap's north star:
+CPU-bound. :class:`ShardedResultStore` accepts records through the same
+``append``/``extend`` surface as a ``ResultSet`` but spills them to
+JSONL shard files (:mod:`repro.measure.io`'s shard format) once the
+in-memory buffer reaches ``chunk_size`` — a campaign of tens of
+millions of records holds at most one chunk of records plus small
+per-group aggregates.
 
-* :class:`ShardedResultStore` accepts records through the same
-  ``append``/``extend`` surface as a ``ResultSet`` but spills them to
-  JSONL shard files (:mod:`repro.measure.io`'s shard format) once the
-  in-memory buffer reaches ``chunk_size`` — a campaign of tens of
-  millions of records holds at most one chunk of records plus small
-  per-group aggregates;
-* :class:`ChunkedColumnStore` exposes the ``ResultSet`` reduction
-  surface (``values_by``, ``per_target_mean_table``, ``pt_categories``,
-  ``status_fractions_by_pt``) by folding *mergeable* partial aggregates
-  per shard — exact sums via :class:`repro.analysis.backend.ExactSum`,
-  integer status counts, first-seen label registries — instead of
-  materializing flat columns. Per-chunk grouping runs through the same
-  analysis backend as the in-memory path.
-
-Exactness is by construction: every scalar that the in-memory path
-computes with one ``math.fsum`` is computed here from Shewchuk partials
-fed shard by shard, whose final rounding is the same double; integer
-counts merge exactly; sorting/grouping are exact operations. See
-``docs/streaming-store.md`` for the full argument.
+Reductions run through the engine a ``ResultSet`` uses,
+:class:`~repro.measure.records.ChunkedColumnStore`, here fed one shard
+at a time instead of one chunk holding every record. The fold merges
+exact sums, integer counts and first-seen label registries, so its
+results do not depend on where chunk boundaries fall. See
+``docs/streaming-store.md``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from repro.analysis import backend
 from repro.errors import ConfigError
 from repro.measure import io as measure_io
 from repro.measure.records import (
-    ColumnStore,
-    GroupedValues,
     MeasurementRecord,
-    Method,
+    ReducibleResults,
     ResultSet,
-    check_group_key,
-    status_fractions_from_counts,
 )
-from repro.web.types import Status
 
 #: Default records per shard: large enough to amortize per-shard
 #: overheads, small enough that one chunk of records is a rounding
 #: error against a paper-scale campaign.
 DEFAULT_CHUNK_SIZE = 100_000
 
-_SHARD_GLOB = "shard-*.jsonl"
+#: Shard file names, ``shard-<index>.jsonl`` (see :func:`shard_path`).
+_SHARD_NAME = re.compile(r"shard-(\d+)\.jsonl")
 
 #: Bytes read from the end of a shard when validating its tail. Shard
 #: lines are single JSON row objects, far below this bound.
 _TAIL_PROBE = 1 << 20
+
+
+def shard_path(directory: Path, index: int) -> Path:
+    """Shard number ``index`` of a store directory (``shard-00007.jsonl``).
+
+    This module alone knows the shard name: it is written here and read
+    back by ``_SHARD_NAME``.
+    """
+    return directory / f"shard-{index:05d}.jsonl"
+
+
+def _list_shards(directory: Path) -> list[tuple[int, Path]]:
+    """(index, path) of every shard file in a directory, by index.
+
+    Numeric order, not lexicographic: the 5-digit name padding
+    overflows past 99999 shards and "shard-100000" sorts before
+    "shard-99999" as a string.
+    """
+    found: list[tuple[int, Path]] = []
+    for path in directory.iterdir():
+        match = _SHARD_NAME.fullmatch(path.name)
+        if match is not None:
+            found.append((int(match[1]), path))
+    return sorted(found)
+
+
+def remove_shards(directory: Path) -> None:
+    """Delete a directory's shard files and their leftovers.
+
+    A leftover keeps its shard's name and adds a suffix: ``.tmp`` from
+    an unfinished atomic write, ``.corrupt`` from quarantine.
+    """
+    if not directory.is_dir():
+        return
+    for path in directory.iterdir():
+        if _SHARD_NAME.match(path.name):
+            path.unlink()
 
 
 def _shard_tail_valid(path: Path) -> bool:
@@ -88,214 +113,15 @@ def _shard_tail_valid(path: Path) -> bool:
     return isinstance(obj, dict)
 
 
-class ChunkedColumnStore:
-    """Reductions over a sequence of record chunks, folded per shard.
-
-    ``chunks`` is a zero-argument callable returning a fresh iterable
-    of record sequences — each reduction streams the chunks once,
-    folding per-chunk aggregates produced by the regular
-    :class:`~repro.measure.records.ColumnStore` machinery. Labels
-    (transports, targets) register in global first-seen order as chunks
-    stream by, which is exactly the order the in-memory extraction
-    would have seen them in.
-
-    Memory: the fold-based reductions (:meth:`per_target_mean_table`,
-    :meth:`status_fractions_by_pt`, :meth:`pt_categories`) hold one
-    chunk of records plus O(groups) aggregates. :meth:`grouped_values`
-    is different by contract — its return value *is* every included
-    metric value, so it costs O(included records) floats (though never
-    the record objects themselves, which is the dominant term the
-    store avoids).
-
-    The other deliberate caveat: every reduction call is a full pass
-    over the chunks (a disk re-read for file-backed stores). Mean
-    tables memoize per (value, method), mirroring the in-memory store.
-    """
-
-    def __init__(self, chunks: Callable[[], Iterable[Sequence[MeasurementRecord]]],
-                 ) -> None:
-        self._chunks = chunks
-        self.n = 0
-        self._pts: list[str] = []
-        self._pt_index: dict[str, int] = {}
-        self._targets: list[str] = []
-        self._target_index: dict[str, int] = {}
-        self._categories: dict[str, set[str]] = {}
-        self._first_category: dict[str, str] = {}
-        self._status_counts: dict[str, list[int]] = {}
-        self._scanned = False
-        self._mean_tables: dict[tuple, dict[str, dict[str, float]]] = {}
-
-    # -- streaming machinery -------------------------------------------
-
-    def _register(self, store: ColumnStore) -> None:
-        """Merge one chunk's label/category registries into the globals."""
-        for pt in store.pts:
-            if pt not in self._pt_index:
-                self._pt_index[pt] = len(self._pts)
-                self._pts.append(pt)
-        for target in store.targets:
-            if target not in self._target_index:
-                self._target_index[target] = len(self._targets)
-                self._targets.append(target)
-        categories, first = store.category_info()
-        for pt, seen in categories.items():
-            self._categories.setdefault(pt, set()).update(seen)
-        for pt, category in first.items():
-            self._first_category.setdefault(pt, category)
-
-    def _chunk_stores(self) -> Iterator[ColumnStore]:
-        """One full pass: per-chunk column stores, bookkeeping folded.
-
-        The first complete pass also accumulates the value-independent
-        aggregates (record count, per-PT status counts); later passes
-        only pay for the reduction they serve.
-        """
-        scan = not self._scanned
-        n = 0
-        counts: dict[str, list[int]] = {}
-        for chunk in self._chunks():
-            store = ColumnStore(chunk)
-            self._register(store)
-            if scan:
-                n += store.n
-                for pt, chunk_counts in store.status_counts_by_pt().items():
-                    merged = counts.get(pt)
-                    if merged is None:
-                        counts[pt] = list(chunk_counts)
-                    else:
-                        for i, c in enumerate(chunk_counts):
-                            merged[i] += c
-            yield store
-        if scan:
-            self.n = n
-            self._status_counts = counts
-            self._scanned = True
-
-    def _ensure_scanned(self) -> None:
-        if not self._scanned:
-            for _ in self._chunk_stores():
-                pass
-
-    # -- the ResultSet reduction surface --------------------------------
-
-    @property
-    def pts(self) -> tuple[str, ...]:
-        self._ensure_scanned()
-        return tuple(self._pts)
-
-    @property
-    def targets(self) -> tuple[str, ...]:
-        self._ensure_scanned()
-        return tuple(self._targets)
-
-    def grouped_values(self, value: str, by: str = "pt",
-                       method: Optional[Method] = None,
-                       sort: bool = False) -> GroupedValues:
-        """Streaming :meth:`ColumnStore.grouped_values` equivalent.
-
-        Chunk slices are concatenated per label (chunk order = record
-        order), and with ``sort=True`` each complete group is sorted
-        once at the end — sorting is exact, so the result is
-        bit-identical to sorting per-group over the full in-memory
-        column.
-        """
-        # Checked up front: an empty store streams no chunk whose
-        # grouping would reject an unknown key.
-        check_group_key(by)
-        buckets: dict[str, list[float]] = {}
-        if by == "method":
-            # Fixed label set, present even for an empty store — the
-            # in-memory path labels every method unconditionally.
-            buckets = {m.value: [] for m in Method}
-        for store in self._chunk_stores():
-            grouped = store.grouped_values(value, by=by, method=method,
-                                           sort=False)
-            for label, values in grouped.items():
-                bucket = buckets.get(label)
-                if bucket is None:
-                    bucket = buckets[label] = []
-                bucket.extend(values)
-        labels = tuple(buckets)
-        flat: list[float] = []
-        starts = [0]
-        for label in labels:
-            # Pop as we go: with sort=True each group's sorted copy
-            # replaces its bucket instead of coexisting with it, so the
-            # assembly never holds two copies of the full column.
-            values = buckets.pop(label)
-            flat.extend(backend.sort_values(values) if sort else values)
-            starts.append(len(flat))
-        return GroupedValues(labels=labels, values=flat,
-                             starts=tuple(starts))
-
-    def per_target_mean_table(self, value: str,
-                              method: Optional[Method] = None,
-                              ) -> dict[str, dict[str, float]]:
-        """pt -> target -> mean, folded exactly across shards.
-
-        Each (pt, target) group accumulates a
-        :class:`~repro.analysis.backend.ExactSum` fed one chunk slice
-        at a time; the final rounding equals one ``fsum`` over the
-        whole group, so the table is bit-identical to
-        :meth:`ColumnStore.per_target_mean_table`.
-        """
-        key = (value, method)
-        cached = self._mean_tables.get(key)
-        if cached is not None:
-            return cached
-
-        sums: dict[tuple[str, str], backend.ExactSum] = {}
-        for store in self._chunk_stores():
-            for pt, target, values in store.per_target_groups(value, method):
-                acc = sums.get((pt, target))
-                if acc is None:
-                    acc = sums[(pt, target)] = backend.ExactSum()
-                acc.add(values)
-        table: dict[str, dict[str, float]] = {}
-        for pt in self._pts:
-            row: dict[str, float] = {}
-            for target in self._targets:
-                acc = sums.get((pt, target))
-                if acc is not None:
-                    row[target] = acc.mean()
-            if row:
-                table[pt] = row
-        self._mean_tables[key] = table
-        return table
-
-    def pt_categories(self, strict: bool = True) -> dict[str, str]:
-        """pt -> category, merged from every shard's category sets."""
-        self._ensure_scanned()
-        out: dict[str, str] = {}
-        for pt in self._pts:
-            seen = self._categories[pt]
-            if len(seen) != 1 and strict:
-                raise ValueError(
-                    f"transport {pt!r} has inconsistent categories: "
-                    f"{sorted(seen)}")
-            out[pt] = self._first_category[pt]
-        return out
-
-    def status_fractions_by_pt(self) -> dict[str, dict[Status, float]]:
-        """Per-PT status fractions from merged integer shard counts."""
-        self._ensure_scanned()
-        return {pt: status_fractions_from_counts(counts)
-                for pt, counts in self._status_counts.items()}
-
-
-class ShardedResultStore:
+class ShardedResultStore(ReducibleResults):
     """Append-only record store that spills to JSONL shards.
 
     Quacks like a :class:`~repro.measure.records.ResultSet` for the
     analysis layer — ``append``/``extend``, ``len``, iteration, and
-    the full reduction surface (:meth:`values_by`,
-    :meth:`per_target_mean_table`, :meth:`pt_categories`,
-    :meth:`status_fractions_by_pt`) — while keeping at most
-    ``chunk_size`` records in memory. Reductions go through a
-    :class:`ChunkedColumnStore` over the shard files plus the live
-    buffer, and are bit-identical to the in-memory path by
-    construction.
+    the :class:`~repro.measure.records.ReducibleResults` reduction
+    surface — while keeping at most ``chunk_size`` records in memory.
+    Its columnar view folds the shard files and then the live buffer,
+    one chunk at a time.
 
     A store owns its directory: creating one over a directory that
     already holds shards raises (use :meth:`open` to re-attach to an
@@ -304,35 +130,33 @@ class ShardedResultStore:
 
     def __init__(self, directory: str | Path, *,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 _adopt_existing: bool = False) -> None:
+                 _shards: Optional[list[Path]] = None,
+                 _next_shard_index: int = 0) -> None:
         if chunk_size < 1:
             raise ConfigError("chunk_size must be >= 1")
+        super().__init__()
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        # Shard order is numeric, not lexicographic: the 5-digit name
-        # padding overflows past 99999 shards and "shard-100000" sorts
-        # before "shard-99999" as a string.
-        existing = sorted(self.directory.glob(_SHARD_GLOB),
-                          key=lambda p: int(p.stem.split("-", 1)[1]))
-        if existing and not _adopt_existing:
-            raise ConfigError(
-                f"{self.directory} already contains shards; use "
-                "ShardedResultStore.open() to read an existing store")
+        if _shards is None:
+            if self.has_shards(self.directory):
+                raise ConfigError(
+                    f"{self.directory} already contains shards; use "
+                    "ShardedResultStore.open() to read an existing store")
+            _shards = []
         self.chunk_size = chunk_size
         self._buffer: list[MeasurementRecord] = []
-        self._shards: list[Path] = existing
-        #: Next shard file number: one past the highest existing index,
-        #: not the shard count — an adopted directory with a gap in its
-        #: numbering must never overwrite the shard after the gap.
-        self._next_shard_index = (
-            int(existing[-1].stem.split("-", 1)[1]) + 1 if existing else 0)
+        #: Shard files in index order; :meth:`open` hands in the ones
+        #: it adopted.
+        self._shards: list[Path] = _shards
+        #: Next shard file number: for an adopted directory, one past
+        #: the highest index :meth:`open` found, not the shard count —
+        #: a gap in the numbering, or a shard quarantined aside, must
+        #: never be overwritten.
+        self._next_shard_index = _next_shard_index
         #: Records per shard; None until counted (adopted shards are
         #: only line-counted when a caller actually asks for len()).
         self._shard_counts: Optional[list[int]] = \
-            None if existing else []
-        self._version = 0
-        self._columns: Optional[ChunkedColumnStore] = None
-        self._columns_version = -1
+            None if _shards else []
         #: Shards :meth:`open` renamed aside as damaged (``*.corrupt``).
         self.quarantined: tuple[Path, ...] = ()
 
@@ -347,7 +171,7 @@ class ShardedResultStore:
         :class:`~repro.errors.ConfigError` instead of reading as an
         empty campaign. Each shard's tail is checked first (see
         :func:`_shard_tail_valid`); a damaged shard is *quarantined* —
-        renamed to ``<name>.corrupt``, out of the shard glob — instead
+        renamed to ``<name>.corrupt``, so no longer a shard — instead
         of crashing the first reduction that streams into the torn
         line. Quarantined paths are reported on ``store.quarantined``
         so callers can surface the data loss; the store carries on
@@ -365,17 +189,17 @@ class ShardedResultStore:
         if not directory.is_dir():
             raise ConfigError(f"no result store at {directory}: "
                               "not a directory")
+        found = _list_shards(directory)
+        # Claim the numbering of *every* pre-quarantine shard: a later
+        # spill must never mint the index of a shard that was just
+        # renamed aside.
+        next_index = found[-1][0] + 1 if found else 0
+        intact: list[Path] = []
         quarantined: list[Path] = []
-        next_index = 0
-        shards = sorted(directory.glob(_SHARD_GLOB),
-                        key=lambda p: int(p.stem.split("-", 1)[1]))
-        if shards:
-            # Claim the numbering of *every* pre-quarantine shard: a
-            # later spill must never mint the index of a shard that was
-            # just renamed aside.
-            next_index = int(shards[-1].stem.split("-", 1)[1]) + 1
-        for path in shards:
-            if not _shard_tail_valid(path):
+        for _, path in found:
+            if _shard_tail_valid(path):
+                intact.append(path)
+            else:
                 target = path.with_name(path.name + ".corrupt")
                 path.replace(target)
                 quarantined.append(target)
@@ -385,14 +209,14 @@ class ShardedResultStore:
                 f"({', '.join(p.name for p in quarantined)}) but "
                 "shard_counts was supplied — the writer's bookkeeping "
                 "no longer matches the directory")
-        store = cls(directory, chunk_size=chunk_size, _adopt_existing=True)
+        store = cls(directory, chunk_size=chunk_size, _shards=intact,
+                    _next_shard_index=next_index)
         store.quarantined = tuple(quarantined)
-        store._next_shard_index = max(store._next_shard_index, next_index)
         if shard_counts is not None:
-            if len(shard_counts) != len(store._shards):
+            if len(shard_counts) != len(intact):
                 raise ConfigError(
                     f"shard_counts has {len(shard_counts)} entries for "
-                    f"{len(store._shards)} shard files")
+                    f"{len(intact)} shard files")
             store._shard_counts = list(shard_counts)
         return store
 
@@ -402,11 +226,11 @@ class ShardedResultStore:
 
         The one shared definition of "occupied" for every pre-flight
         check (CLI export targets, the spool merge claim) — callers
-        must not re-implement the shard glob, or a future format
+        must not re-implement the shard name, or a future format
         change would desynchronize their guards from the store's own.
         """
         directory = Path(directory)
-        return directory.is_dir() and any(directory.glob(_SHARD_GLOB))
+        return directory.is_dir() and bool(_list_shards(directory))
 
     # -- collection basics ---------------------------------------------
 
@@ -424,7 +248,7 @@ class ShardedResultStore:
     def _spill(self) -> None:
         if not self._buffer:
             return
-        path = self.directory / f"shard-{self._next_shard_index:05d}.jsonl"
+        path = shard_path(self.directory, self._next_shard_index)
         self._next_shard_index += 1
         # Atomic (tmp + fsync + rename): a process killed mid-spill
         # leaves no torn shard for the next open() to quarantine.
@@ -477,34 +301,6 @@ class ShardedResultStore:
         """Materialize everything in RAM (small stores / tests only)."""
         return ResultSet(self.iter_records())
 
-    # -- the ResultSet reduction surface --------------------------------
-
-    def columns(self) -> ChunkedColumnStore:
-        """The cached chunked columnar view (rebuilt after mutation)."""
-        if self._columns is None or self._columns_version != self._version:
-            self._columns = ChunkedColumnStore(self.iter_chunks)
-            self._columns_version = self._version
-        return self._columns
-
-    def pts(self) -> list[str]:
-        return list(self.columns().pts)
-
-    def targets(self) -> list[str]:
-        return list(self.columns().targets)
-
-    def values_by(self, value: str = "duration_s", *, by: str = "pt",
-                  method: Optional[Method] = None,
-                  sort: bool = False) -> GroupedValues:
-        return self.columns().grouped_values(value, by=by, method=method,
-                                             sort=sort)
-
-    def per_target_mean_table(self, value: str = "duration_s",
-                              method: Optional[Method] = None,
-                              ) -> dict[str, dict[str, float]]:
-        return self.columns().per_target_mean_table(value, method)
-
-    def pt_categories(self, strict: bool = True) -> dict[str, str]:
-        return self.columns().pt_categories(strict=strict)
-
-    def status_fractions_by_pt(self) -> dict[str, dict[Status, float]]:
-        return self.columns().status_fractions_by_pt()
+    def _chunk_source(self,
+                      ) -> Callable[[], Iterator[list[MeasurementRecord]]]:
+        return self.iter_chunks

@@ -107,9 +107,6 @@ def test_grouping_bit_equal(rows):
     # Groups in code order, record order preserved within a group.
     assert [flat[starts[g]:starts[g + 1]] for g in range(7)] == groups
     assert flat == [v for group in groups for v in group]
-    sorted_flat, sorted_starts = backend.group_sorted_flat(codes, values, 7)
-    assert sorted_starts == starts
-    assert sorted_flat == [v for group in groups for v in sorted(group)]
     assert backend.group_counts(codes, 7) == [len(group) for group in groups]
 
 

@@ -245,6 +245,7 @@ def test_num01_applies_in_measure_store_but_not_measure_io():
             return sum(values)
     """
     assert hits(source, "src/repro/measure/store.py") == [("NUM01", 2)]
+    assert hits(source, "src/repro/measure/records.py") == [("NUM01", 2)]
     assert hits(source, "src/repro/measure/io.py") == []
 
 

@@ -40,7 +40,6 @@ def test_pts_and_targets_preserve_order():
 def test_mean_and_median():
     rs = ResultSet([rec(duration=1.0), rec(duration=2.0), rec(duration=9.0)])
     assert rs.mean_duration() == pytest.approx(4.0)
-    assert rs.median_duration() == pytest.approx(2.0)
     with pytest.raises(ValueError):
         ResultSet().mean_duration()
 
@@ -97,21 +96,11 @@ def test_paired_values_respect_method_filter():
     assert ys == [8.0]
 
 
-def test_ttfbs_skip_missing():
-    rs = ResultSet([rec(ttfb=0.5), rec(ttfb=None)])
-    assert rs.ttfbs() == [0.5]
-
-
 def test_to_rows_shape():
     rows = ResultSet([rec()]).to_rows()
     assert rows[0]["pt"] == "tor"
     assert rows[0]["status"] == "complete"
     assert set(rows[0]) >= {"duration_s", "ttfb_s", "method", "client"}
-
-
-def test_relabel_overrides_fields():
-    rs = ResultSet([rec()]).relabel(medium="wireless")
-    assert rs.records[0].medium == "wireless"
 
 
 def test_extend_accepts_resultset_and_iterable():
@@ -153,6 +142,10 @@ def test_values_by_respects_method_and_missing_values():
     assert by_target.group("site0") == [1.0, 1.0, 1.0]
     with pytest.raises(ValueError):
         rs.values_by("duration_s", by="medium")
+    with pytest.raises(ValueError, match="cannot reduce 'bogus'"):
+        rs.values_by("bogus")
+    with pytest.raises(ValueError, match="cannot reduce 'bogus'"):
+        rs.per_target_mean_table("bogus")
 
 
 def test_per_target_mean_table_matches_per_target_means():

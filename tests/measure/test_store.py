@@ -9,6 +9,8 @@ with ties, None-valued optional fields, and n=0/1 groups.
 """
 
 import math
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,13 @@ from repro.analysis import backend
 from repro.errors import ConfigError
 from repro.measure.io import write_shard
 from repro.measure.records import (
+    ChunkedColumnStore,
     MeasurementRecord,
     Method,
     ResultSet,
     TargetKind,
 )
-from repro.measure.store import ChunkedColumnStore, ShardedResultStore
+from repro.measure.store import ShardedResultStore, remove_shards
 from repro.web.types import Status
 
 def rec(pt="tor", target="site0", duration=1.0, status=Status.COMPLETE,
@@ -165,6 +168,10 @@ def test_empty_store_matches_empty_result_set(tmp_path):
     for side in (store, rs):
         with pytest.raises(ValueError, match="cannot group by 'bogus'"):
             side.values_by("duration_s", by="bogus")
+        with pytest.raises(ValueError, match="cannot reduce 'bogus'"):
+            side.values_by("bogus")
+        with pytest.raises(ValueError, match="cannot reduce 'bogus'"):
+            side.per_target_mean_table("bogus")
 
 
 def test_pt_categories_strict_raises_across_shards(tmp_path):
@@ -258,6 +265,25 @@ def test_open_orders_shards_numerically(tmp_path):
     store = ShardedResultStore.open(directory)
     assert [r.target for r in store.iter_records()] == ["first", "second"]
     assert len(store) == 2
+
+
+def test_open_lists_the_directory_once(tmp_path, monkeypatch):
+    """open() hands the shards it checked to the store instead of
+    listing the directory a second time."""
+    directory = tmp_path / "once"
+    directory.mkdir()
+    write_shard([rec(target="a")], directory / "shard-00000.jsonl")
+    write_shard([rec(target="b")], directory / "shard-00001.jsonl")
+    listings = []
+    for name in ("listdir", "scandir"):
+        def listing(path=".", _list=getattr(os, name)):
+            if Path(path) == directory:
+                listings.append(path)
+            return _list(path)
+        monkeypatch.setattr(os, name, listing)
+    store = ShardedResultStore.open(directory)
+    assert len(listings) == 1
+    assert [r.target for r in store.iter_records()] == ["a", "b"]
 
 
 def test_open_counts_lines_lazily(tmp_path):
@@ -365,6 +391,18 @@ def test_spill_after_quarantine_never_reuses_the_index(tmp_path):
     store.append(rec(target="c"))
     assert (directory / "shard-00002.jsonl").exists()
     assert [r.target for r in store.iter_records()] == ["a", "c"]
+
+
+def test_remove_shards_takes_leftovers_and_nothing_else(tmp_path):
+    """Shards and their .tmp/.corrupt leftovers go; other files stay."""
+    directory = tmp_path / "merged"
+    directory.mkdir()
+    for name in ("shard-00000.jsonl", "shard-00001.jsonl.tmp",
+                 "shard-00002.jsonl.corrupt", "journal.jsonl"):
+        (directory / name).write_text("")
+    remove_shards(directory)
+    assert [p.name for p in directory.iterdir()] == ["journal.jsonl"]
+    remove_shards(tmp_path / "missing")     # nothing to clear
 
 
 def test_spill_is_atomic_no_tmp_left_behind(tmp_path):
