@@ -7,7 +7,8 @@ Two complementary mechanisms model cross-traffic:
    weight that participates in the max-min fair share. Campaigns resample
    this weight per measurement from a :class:`LoadModel`, capturing
    "the guard was busy when I measured" without simulating millions of
-   other clients.
+   other clients. :func:`draw_loads` is the one Gamma draw behind every
+   resample.
 
 2. **Explicit Poisson flows** (:class:`PoissonBackground`): real finite
    flows arriving at a resource. Heavier-weight but fully dynamic; used
@@ -19,12 +20,20 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable
 
+from repro.errors import ConfigError
 from repro.simnet.kernel import Event, EventKernel
 from repro.simnet.network import FluidNetwork
 from repro.simnet.resource import Resource
 from repro.simnet.rng import pareto
+
+
+#: Constants of the stdlib gamma sampler (``random.LOG4`` and
+#: ``random.SG_MAGICCONST``), computed the same way.
+_LOG4 = math.log(4.0)
+_SG_MAGICCONST = 1.0 + math.log(4.5)
 
 
 @dataclass(frozen=True)
@@ -33,17 +42,64 @@ class LoadModel:
 
     ``mean`` is the expected number of competing unit-weight flows;
     samples are gamma-distributed (shape ``k``) so load is always
-    non-negative and right-skewed, like real relay utilisation.
+    non-negative and right-skewed, like real relay utilisation. The
+    shape must exceed 1, the regime :func:`draw_loads` implements.
     """
 
     mean: float
     shape: float = 2.0
+    #: ``(alpha, ainv, bbb, ccc, beta)`` of Cheng's algorithm, computed
+    #: once here instead of on every draw.
+    _cheng: tuple[float, float, float, float, float] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.shape > 1.0:
+            raise ConfigError(
+                f"load model shape must be > 1, got {self.shape!r}")
+        alpha = self.shape
+        ainv = math.sqrt(2.0 * alpha - 1.0)
+        object.__setattr__(self, "_cheng", (
+            alpha, ainv, alpha - _LOG4, alpha + ainv, self.mean / alpha))
 
     def sample(self, rng: random.Random) -> float:
-        if self.mean <= 0:
-            return 0.0
-        theta = self.mean / self.shape
-        return rng.gammavariate(self.shape, theta)
+        return draw_loads(rng, (self,))[0]
+
+
+def draw_loads(rng: random.Random, models: Iterable[LoadModel]) -> list[float]:
+    """One background load per model, drawn from ``rng`` in order.
+
+    Each load is ``rng.gammavariate(model.shape, model.mean /
+    model.shape)``, or 0.0 for a model whose mean is not positive. The
+    loop is CPython's own gamma sampler for shape > 1 (R.C.H. Cheng,
+    "The generation of Gamma variables with non-integral shape
+    parameters", Applied Statistics 26(1), 1977), unchanged from 3.11
+    to 3.13: it calls ``rng.random()`` the same number of times in the
+    same order and does the same float operations, so every load and
+    every later draw from ``rng`` is bit-identical to the library
+    call's. Only the per-draw constants are hoisted into the model.
+    """
+    rand = rng.random
+    log, exp = math.log, math.exp
+    loads = []
+    for model in models:
+        if model.mean <= 0:
+            loads.append(0.0)
+            continue
+        alpha, ainv, bbb, ccc, beta = model._cheng
+        while True:
+            u1 = rand()
+            if not 1e-7 < u1 < 0.9999999:
+                continue
+            u2 = 1.0 - rand()
+            v = log(u1 / (1.0 - u1)) / ainv
+            x = alpha * exp(v)
+            z = u1 * u1 * u2
+            r = bbb + ccc * v - x
+            if r + _SG_MAGICCONST - 4.5 * z >= 0.0 or r >= log(z):
+                loads.append(x * beta)
+                break
+    return loads
 
 
 #: Volunteer-operated guard relays carry most of Tor's client traffic.

@@ -19,6 +19,7 @@ from repro.simnet.background import (
     VOLUNTEER_GUARD_LOAD,
     VOLUNTEER_RELAY_LOAD,
     LoadModel,
+    draw_loads,
 )
 from repro.simnet.geo import Cities
 from repro.simnet.rng import bounded_lognormal, substream, weighted_choice
@@ -115,9 +116,17 @@ class Consensus:
         return candidates[index if index < len(candidates) else -1]
 
     def resample_all_loads(self, rng: random.Random) -> None:
-        """Refresh every relay's background load (new measurement epoch)."""
-        for relay in self.relays:
-            relay.resample_load(rng)
+        """Refresh every relay's background load (new measurement epoch).
+
+        One :func:`draw_loads` call draws the relays' loads in consensus
+        order, each from the relay's current load model, exactly as a
+        :meth:`Relay.resample_load` per relay would; a Gamma load is
+        never negative, so it is stored without the setter's check.
+        """
+        relays = self.relays
+        loads = draw_loads(rng, [relay.spec.load_model for relay in relays])
+        for relay, load in zip(relays, loads):
+            relay.resource.background_load = load
 
 
 def generate_consensus(seed: int, params: ConsensusParams | None = None) -> Consensus:

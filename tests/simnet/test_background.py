@@ -1,12 +1,16 @@
 """Unit tests for background load models."""
 
+import random
+
 import pytest
 
+from repro.errors import ConfigError
 from repro.simnet.background import (
     MANAGED_BRIDGE_LOAD,
     VOLUNTEER_GUARD_LOAD,
     LoadModel,
     PoissonBackground,
+    draw_loads,
 )
 from repro.simnet.kernel import EventKernel
 from repro.simnet.network import FluidNetwork
@@ -26,6 +30,57 @@ def test_load_model_mean_roughly_right():
 def test_zero_mean_load_is_zero():
     rng = substream(1, "load")
     assert LoadModel(mean=0.0).sample(rng) == 0.0
+
+
+def _library_loads(rng: random.Random, models) -> list[float]:
+    """The oracle: the stdlib gamma sampler, one call per model."""
+    return [rng.gammavariate(m.shape, m.mean / m.shape) if m.mean > 0
+            else 0.0 for m in models]
+
+
+_MODELS = [LoadModel(mean=m, shape=k)
+           for m in (0.0, 0.2, 0.8, 5.0, 11.0, 47.3)
+           for k in (1.01, 1.5, 2.0, 3.7, 12.0)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_draw_loads_matches_gammavariate_bit_for_bit(seed):
+    models = random.Random(seed).choices(_MODELS, k=300)
+    ours, library = random.Random(seed), random.Random(seed)
+    assert draw_loads(ours, models) == _library_loads(library, models)
+    # The same uniforms were consumed, so every later draw agrees too.
+    assert ours.getstate() == library.getstate()
+
+
+class _Scripted(random.Random):
+    """A generator whose random() returns a fixed script, in order."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = list(script)
+
+    def random(self):
+        return self.script.pop(0)
+
+
+def test_draw_loads_follows_every_branch_of_the_rejection_loop():
+    model = LoadModel(mean=11.0)
+    script = [
+        0.0, 1e-7, 0.99999995,  # u1 outside (1e-7, 0.9999999): redrawn
+        0.01, 0.01,             # rejected by both acceptance tests
+        0.01, 0.2,              # accepted only by r >= log(z)
+        0.3, 0.84,              # accepted by the quick squeeze test
+    ]
+    ours, library = _Scripted(script), _Scripted(script)
+    assert draw_loads(ours, [model, model]) == _library_loads(
+        library, [model, model])
+    assert ours.script == library.script == []
+
+
+def test_load_model_rejects_shape_at_or_below_one():
+    for shape in (1.0, 0.5, 0.0, float("nan")):
+        with pytest.raises(ConfigError):
+            LoadModel(mean=5.0, shape=shape)
 
 
 def test_volunteer_guard_busier_than_managed_bridge():
