@@ -20,7 +20,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Iterable
+from functools import reduce
+from itertools import compress
+from operator import add
+from typing import Collection, Iterable, Sequence
 
 
 def derive_seed(root_seed: int, *names: object) -> int:
@@ -60,11 +63,32 @@ def pareto(rng: random.Random, shape: float, scale: float) -> float:
     return scale / (u ** (1.0 / shape))
 
 
-def weighted_choice(rng: random.Random, items: Iterable, weights: Iterable[float]):
-    """Choose one item with probability proportional to its weight."""
-    items = list(items)
-    weights = list(weights)
-    total = sum(weights)
+def left_sum(values: Iterable[float]) -> float:
+    """Add floats left to right from 0.0, the same on every Python.
+
+    Since Python 3.12 the builtin ``sum()`` compensates float rounding
+    (Neumaier), so the same floats can sum to a different last bit on
+    3.11 and 3.12, and a seeded output would depend on the interpreter.
+    This rounds once per addition, in order, as ``sum()`` did before.
+    """
+    return reduce(add, values, 0.0)
+
+
+def weighted_choice(rng: random.Random, items: Sequence, weights: Sequence[float],
+                    keys: Sequence = (), exclude: Collection = frozenset()):
+    """Choose one item with probability proportional to its weight.
+
+    With ``exclude``, the items whose key (``keys`` names each item) is
+    in it are left out of the draw, exactly as if they were not in the
+    lists. The kept weights are summed left to right, and one
+    ``rng.random()`` scaled by the sum is scanned against their running
+    sum in the same order.
+    """
+    if exclude:
+        kept = [key not in exclude for key in keys]
+        items = list(compress(items, kept))
+        weights = list(compress(weights, kept))
+    total = left_sum(weights)
     if total <= 0:
         raise ValueError("weights must sum to a positive value")
     x = rng.random() * total

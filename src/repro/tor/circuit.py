@@ -22,6 +22,7 @@ from typing import Iterator, Optional, Sequence
 from repro.simnet.geo import City
 from repro.simnet.latency import LatencyModel
 from repro.simnet.resource import Resource
+from repro.simnet.rng import left_sum
 from repro.simnet.session import Delay
 from repro.tor.cell import circuit_throughput_cap_bps, stream_throughput_cap_bps
 from repro.tor.relay import Relay
@@ -92,7 +93,8 @@ class Circuit:
         """Deterministic RTT estimate (no jitter) for capacity planning."""
         from repro.simnet.geo import base_rtt as geo_rtt
         cities = self._chain_cities(len(self.hops), dest)
-        return sum(geo_rtt(cities[i], cities[i + 1]) for i in range(len(cities) - 1))
+        return left_sum(geo_rtt(cities[i], cities[i + 1])
+                        for i in range(len(cities) - 1))
 
     # -- capacity -----------------------------------------------------
 

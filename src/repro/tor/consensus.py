@@ -26,6 +26,10 @@ from repro.simnet.rng import bounded_lognormal, substream, weighted_choice
 from repro.tor.relay import Flag, Relay, RelaySpec
 from repro.units import mbit
 
+#: Per flag: candidate relays, their weights, the running sum of the
+#: weights, and their fingerprints.
+_FlagLists = tuple[list[Relay], list[float], list[float], list[str]]
+
 
 @dataclass(frozen=True)
 class ConsensusParams:
@@ -48,12 +52,11 @@ class Consensus:
             raise ConfigError("consensus must contain at least one relay")
         self.relays = relays
         self._by_fingerprint = {r.fingerprint: r for r in relays}
-        # Flag-filtered candidate/weight lists are immutable after
-        # construction (flags never change post-consensus), and path
-        # selection draws from them once per hop per measurement — cache
-        # them instead of re-filtering all relays through enum ops.
-        self._flag_cache: dict[
-            Flag, tuple[list[Relay], list[float], list[float]]] = {}
+        # Flag-filtered candidate/weight/fingerprint lists are immutable
+        # after construction (flags never change post-consensus), and
+        # path selection draws from them once per hop per measurement —
+        # cache them instead of re-filtering all relays through enum ops.
+        self._flag_cache: dict[Flag, _FlagLists] = {}
 
     # -- lookup --------------------------------------------------------
 
@@ -71,8 +74,7 @@ class Consensus:
         # is the one that treats NONE as "any relay").
         return [r for r in self.relays if r.has_flag(flag)]
 
-    def _flag_lists(self, flag: Flag
-                    ) -> tuple[list[Relay], list[float], list[float]]:
+    def _flag_lists(self, flag: Flag) -> _FlagLists:
         cached = self._flag_cache.get(flag)
         if cached is None:
             candidates = [r for r in self.relays
@@ -82,7 +84,9 @@ class Consensus:
             # summation, so a bisect draw picks the identical relay for
             # the identical rng.random() value.
             cum = list(accumulate(weights))
-            cached = self._flag_cache[flag] = (candidates, weights, cum)
+            fingerprints = [r.fingerprint for r in candidates]
+            cached = self._flag_cache[flag] = (
+                candidates, weights, cum, fingerprints)
         return cached
 
     def guards(self) -> list[Relay]:
@@ -101,15 +105,12 @@ class Consensus:
         relay's selection probability is proportional to its consensus
         bandwidth.
         """
-        candidates, weights, cum = self._flag_lists(flag)
+        candidates, weights, cum, fingerprints = self._flag_lists(flag)
         if exclude:
-            keep = [i for i, r in enumerate(candidates)
-                    if r.fingerprint not in exclude]
-            candidates = [candidates[i] for i in keep]
-            weights = [weights[i] for i in keep]
-            if not candidates:
+            if exclude.issuperset(fingerprints):
                 raise ConfigError(f"no relay candidates for flag={flag}")
-            return weighted_choice(rng, candidates, weights)
+            return weighted_choice(rng, candidates, weights,
+                                   fingerprints, exclude)
         if not candidates:
             raise ConfigError(f"no relay candidates for flag={flag}")
         index = bisect_right(cum, rng.random() * cum[-1])

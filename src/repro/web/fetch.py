@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import ChannelFailed, ProcessTimeout, TransferAborted
+from repro.simnet.rng import left_sum
 from repro.simnet.session import Delay, GetTime, Outcome, Parallel
 from repro.web.page import FileSpec, PageSpec, SubresourceSpec
 from repro.web.types import FetchResult, Status, TransportChannel, VisualEvent
@@ -130,7 +131,7 @@ def browser_fetch(channel: TransportChannel, page: PageSpec,
         # uBlock keeps a deterministic slice of resources from loading.
         keep = max(0, int(round(len(resources) * (1 - config.adblock_skip_fraction))))
         resources = resources[:keep]
-    expected = page.main_size_bytes + sum(r.size_bytes for r in resources)
+    expected = page.main_size_bytes + left_sum(r.size_bytes for r in resources)
     ttfb = None
 
     try:

@@ -12,6 +12,7 @@ resources extend the load time but not the visual integral.
 
 from __future__ import annotations
 
+from repro.simnet.rng import left_sum
 from repro.web.types import FetchResult, VisualEvent
 
 
@@ -24,7 +25,7 @@ def speed_index_s(events: list[VisualEvent], fallback_end_s: float) -> float:
     visual = sorted((e for e in events if e.weight > 0), key=lambda e: e.time_s)
     if not visual:
         return fallback_end_s
-    total_weight = sum(e.weight for e in visual)
+    total_weight = left_sum(e.weight for e in visual)
     completeness = 0.0
     last_time = 0.0
     index = 0.0

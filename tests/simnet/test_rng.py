@@ -5,6 +5,7 @@ import pytest
 from repro.simnet.rng import (
     bounded_lognormal,
     derive_seed,
+    left_sum,
     lognormal_factor,
     pareto,
     substream,
@@ -69,3 +70,19 @@ def test_weighted_choice_rejects_nonpositive_total():
     rng = substream(9, "w")
     with pytest.raises(ValueError):
         weighted_choice(rng, ["a"], [0.0])
+
+
+def test_weighted_choice_leaves_out_excluded_keys():
+    rng = substream(9, "w")
+    picks = {weighted_choice(rng, ["a", "b", "c"], [5.0, 1.0, 1.0],
+                             ["ka", "kb", "kc"], {"ka"})
+             for _ in range(200)}
+    assert picks == {"b", "c"}
+
+
+def test_left_sum_adds_left_to_right():
+    # Compensated summation (the builtin sum() since Python 3.12) gives
+    # 1.0 here; one rounding per addition, in order, loses the 1.0.
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert left_sum([]) == 0.0

@@ -1,6 +1,11 @@
 """Unit tests for synthetic consensus generation."""
 
+import functools
+import random
+
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.simnet.rng import substream
@@ -62,6 +67,63 @@ def test_sample_raises_when_no_candidates():
     everyone = {r.fingerprint for r in consensus.relays}
     with pytest.raises(ConfigError):
         consensus.sample(rng, exclude=everyone)
+
+
+@functools.cache
+def _small_consensus(n_relays: int) -> Consensus:
+    return generate_consensus(n_relays, ConsensusParams(n_relays=n_relays))
+
+
+def _filter_then_draw(consensus, rng, flag, exclude):
+    """The exclusion path of Consensus.sample before its fingerprints
+    were cached: filter the flag's relays, then a weighted pick that
+    sums left to right and scans in the same order."""
+    candidates = [r for r in consensus.relays
+                  if flag is Flag.NONE or r.has_flag(flag)]
+    candidates = [r for r in candidates if r.fingerprint not in exclude]
+    if not candidates:
+        raise ConfigError(f"no relay candidates for flag={flag}")
+    total = 0.0
+    for relay in candidates:
+        total += relay.bandwidth_bps
+    x = rng.random() * total
+    acc = 0.0
+    for relay in candidates:
+        acc += relay.bandwidth_bps
+        if x < acc:
+            return relay
+    return candidates[-1]
+
+
+def _outcome(draw):
+    try:
+        return draw().fingerprint
+    except ConfigError:
+        return ConfigError
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sample_with_exclusions_matches_filter_then_draw(data):
+    consensus = _small_consensus(data.draw(st.sampled_from([3, 5, 12, 60])))
+    flag = data.draw(st.sampled_from([Flag.NONE, Flag.GUARD, Flag.EXIT]))
+    fingerprints = [r.fingerprint for r in consensus.relays]
+    exclude = set(data.draw(st.lists(st.sampled_from(fingerprints + ["x"]),
+                                     min_size=1, unique=True)))
+    if data.draw(st.booleans()):
+        # Exclude every candidate of the flag but at most one, so some
+        # draws have one candidate left and some have none.
+        members = [r.fingerprint for r in consensus.relays
+                   if flag is Flag.NONE or r.has_flag(flag)]
+        exclude.update(members[data.draw(st.integers(0, 1)):])
+    seed = data.draw(st.integers(0, 2**32))
+    ours, oracle = random.Random(seed), random.Random(seed)
+    outcome = _outcome(lambda: consensus.sample(ours, flag=flag,
+                                                exclude=exclude))
+    event("no candidates" if outcome is ConfigError else "a relay")
+    assert outcome == _outcome(lambda: _filter_then_draw(
+        consensus, oracle, flag, exclude))
+    assert ours.getstate() == oracle.getstate()
 
 
 def test_min_relay_count_enforced():
