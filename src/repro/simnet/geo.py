@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from enum import Enum
 
 # Speed of light in fibre is roughly 2/3 c; real routes are longer than
@@ -107,6 +108,12 @@ def one_way_delay(a: City, b: City) -> float:
     return km / _FIBRE_KM_PER_S + _PER_HOP_PROCESSING_S
 
 
+@lru_cache(maxsize=1024)
 def base_rtt(a: City, b: City) -> float:
-    """Round-trip time between two cities, before jitter."""
+    """Round-trip time between two cities, before jitter.
+
+    Memoized per city pair: every RTT sample and window estimate asks
+    for it, over a few hundred pairs of fixed cities. The bound only
+    matters to code that makes cities of its own.
+    """
     return 2.0 * one_way_delay(a, b)

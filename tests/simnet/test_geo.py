@@ -46,3 +46,11 @@ def test_relay_sites_weights_are_normalisable():
 def test_client_and_server_cities_match_paper():
     assert [c.name for c in Cities.client_cities()] == ["Bangalore", "London", "Toronto"]
     assert [c.name for c in Cities.server_cities()] == ["Singapore", "Frankfurt", "New York"]
+
+
+def test_base_rtt_memo_is_bounded_and_exact():
+    cities = [c for c, _ in Cities.relay_sites()] + Cities.client_cities()
+    for a in cities:
+        for b in cities:
+            assert base_rtt(a, b) == 2.0 * one_way_delay(a, b)
+    assert base_rtt.cache_info().maxsize is not None
