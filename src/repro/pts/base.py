@@ -396,11 +396,7 @@ class TorBackedChannel:
         extras.append(self.server.resource)
         path = self._prefix_resources() + list(self.circuit.resource_path(extras))
         # Deduplicate while keeping order (colocated hosts share uplinks).
-        seen: list[Resource] = []
-        for res in path:
-            if res not in seen:
-                seen.append(res)
-        return seen
+        return list(dict.fromkeys(path))
 
     def _stream_window(self) -> Resource:
         """Per-channel SENDME window ceiling over the full chain RTT."""

@@ -116,11 +116,10 @@ class Circuit:
         Deduplicates while preserving order, so colocated hops that
         share one uplink are only charged once.
         """
-        seen: list[Resource] = []
-        for res in [h.resource for h in self.hops] + [self.flow_control_resource()] + list(extra):
-            if res not in seen:
-                seen.append(res)
-        return tuple(seen)
+        path = [h.resource for h in self.hops]
+        path.append(self.flow_control_resource())
+        path.extend(extra)
+        return tuple(dict.fromkeys(path))
 
     def mark_used(self) -> None:
         self.streams_attached += 1
