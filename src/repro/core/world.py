@@ -9,10 +9,11 @@ examples and tests can also use the convenience fetch helpers directly.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import random
 from typing import Iterator, Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProcessTimeout
 from repro.core.config import WorldConfig
 from repro.pts.base import PluggableTransport, TorBackedChannel, TransportContext
 from repro.pts.registry import make_all
@@ -22,7 +23,7 @@ from repro.simnet.kernel import EventKernel
 from repro.simnet.network import FluidNetwork
 from repro.simnet.perfcounters import PerfCounters
 from repro.simnet.rng import substream
-from repro.simnet.session import run_process
+from repro.simnet.session import GetTime, run_process
 from repro.tor.client import TorClient
 from repro.tor.consensus import generate_consensus
 from repro.tor.relay import Relay
@@ -37,7 +38,7 @@ from repro.web.fetch import (
 )
 from repro.web.page import FileSpec, PageSpec
 from repro.web.server import FileServer, OriginServer, ServerPool
-from repro.web.types import FetchResult
+from repro.web.types import FetchResult, Status
 
 
 class WorldTracker:
@@ -275,11 +276,6 @@ class World:
         channel = self.open_channel(pt_name, self.file_server, rng)
 
         def process():
-            import dataclasses
-
-            from repro.errors import ProcessTimeout
-            from repro.simnet.session import GetTime
-            from repro.web.types import Status
             start = yield GetTime()
             try:
                 if bootstrap:

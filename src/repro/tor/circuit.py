@@ -19,7 +19,7 @@ import itertools
 import random
 from typing import Iterator, Optional, Sequence
 
-from repro.simnet.geo import City
+from repro.simnet.geo import City, base_rtt
 from repro.simnet.latency import LatencyModel
 from repro.simnet.resource import Resource
 from repro.simnet.rng import left_sum
@@ -91,9 +91,8 @@ class Circuit:
 
     def base_rtt_estimate(self, dest: Optional[City] = None) -> float:
         """Deterministic RTT estimate (no jitter) for capacity planning."""
-        from repro.simnet.geo import base_rtt as geo_rtt
         cities = self._chain_cities(len(self.hops), dest)
-        return left_sum(geo_rtt(cities[i], cities[i + 1])
+        return left_sum(base_rtt(cities[i], cities[i + 1])
                         for i in range(len(cities) - 1))
 
     # -- capacity -----------------------------------------------------

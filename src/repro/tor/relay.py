@@ -26,6 +26,7 @@ from repro.simnet.background import (
 from repro.simnet.geo import City
 from repro.simnet.resource import Resource
 from repro.simnet.rng import bounded_lognormal
+from repro.units import mbit
 
 
 class Flag(enum.Flag):
@@ -102,7 +103,6 @@ class Relay:
         carrying proportionally more clients queues like a thin one —
         queueing tracks *utilisation*, not client count.
         """
-        from repro.units import mbit
         utilisation = (self.resource.background_load
                        * mbit(100) / self.spec.bandwidth_bps)
         base = 0.004 + 0.019 * utilisation
