@@ -21,6 +21,7 @@ and the fluid network, and implements:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 from repro.errors import ProcessTimeout, SimulationError, TransferAborted
@@ -142,17 +143,22 @@ class _ProcessDriver:
         return self.handle
 
     def _advance(self, resume: Callable[[], Any]) -> None:
-        if self.handle.done:  # pragma: no cover - defensive
+        # GetTime resumes the generator at once, so it is answered here,
+        # in a loop, rather than through _dispatch and a nested _advance.
+        while not self.handle.done:
+            try:
+                command = resume()
+            except StopIteration as stop:
+                self._finish(result=stop.value)
+                return
+            except BaseException as exc:  # noqa: BLE001 - propagate via handle
+                self._finish(error=exc)
+                return
+            if isinstance(command, GetTime):
+                resume = partial(self.gen.send, self.kernel.now)
+                continue
+            self._dispatch(command)
             return
-        try:
-            command = resume()
-        except StopIteration as stop:
-            self._finish(result=stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate via handle
-            self._finish(error=exc)
-            return
-        self._dispatch(command)
 
     def _finish(self, result: Any = None, error: Optional[BaseException] = None) -> None:
         self.handle.done = True
@@ -201,9 +207,6 @@ class _ProcessDriver:
             self._start_transfer(command)
         elif isinstance(command, Parallel):
             self._start_parallel(command)
-        elif isinstance(command, GetTime):
-            now = self.kernel.now
-            self._advance(lambda: self.gen.send(now))
         else:
             self._advance(lambda: self.gen.throw(
                 SimulationError(f"unknown process command {command!r}")))

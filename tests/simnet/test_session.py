@@ -32,6 +32,21 @@ def test_delay_advances_time(sim):
     assert run_process(kernel, net, proc()) == pytest.approx(2.5)
 
 
+def test_get_time_runs_in_constant_stack_depth(sim):
+    """Each GetTime resumes the process at once; thousands in a row
+    must not nest one call per command."""
+    kernel, net = sim
+
+    def proc():
+        yield Delay(1.0)
+        times = []
+        for _ in range(20_000):
+            times.append((yield GetTime()))
+        return times[0], times[-1], len(times)
+
+    assert run_process(kernel, net, proc()) == (1.0, 1.0, 20_000)
+
+
 def test_transfer_returns_result(sim):
     kernel, net = sim
     r = Resource("r", 100.0)
