@@ -681,10 +681,19 @@ def _table7(seed: int, scale: Scale) -> ExperimentResult:
     text = ttest_table(tests)
     metrics = {_ttest_metric_key(k): v.mean_diff for k, v in tests.items()}
     # The paper's headline: obfs4 significantly faster than stegotorus
-    # and marionette; no significant gap inside the fast group.
-    paper = {_ttest_metric_key("obfs4-stegotorus"): -97.9,
-             _ttest_metric_key("obfs4-marionette"): -1194.5,
-             _ttest_metric_key("obfs4-cloak"): 28.0}
+    # and marionette; no significant gap inside the fast group. The
+    # matrix stores each pair once, in the order the transports first
+    # completed a download, so each paper number is keyed the way the
+    # matrix holds its pair, with the sign flipped when that is the
+    # other way round.
+    paper = {}
+    for pair, value in (("obfs4-stegotorus", -97.9),
+                        ("obfs4-marionette", -1194.5),
+                        ("obfs4-cloak", 28.0)):
+        a, b = pair.split("-")
+        if f"{b}-{a}" in tests:
+            pair, value = f"{b}-{a}", -value
+        paper[_ttest_metric_key(pair)] = value
     return ExperimentResult("table7", "file-download t-tests", text,
                             metrics=metrics, paper=paper, results=results)
 

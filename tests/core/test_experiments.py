@@ -43,6 +43,15 @@ def test_experiment_runs_and_reports(experiment_id, tiny_seed_runs):
         assert "paper" in comparison and "measured" in comparison
 
 
+def test_table7_compares_every_paper_number(tiny_seed_runs):
+    """Each Table 7 paper number is keyed like the t-test matrix's pair,
+    so the report has a measured value next to it at every seed."""
+    for result in tiny_seed_runs["table7"]:
+        assert len(result.paper) == 3
+        assert set(result.paper) <= set(result.metrics)
+        assert result.paper["diff:marionette-obfs4"] == 1194.5
+
+
 def test_experiments_deterministic_given_seed():
     a = run_experiment("fig2a", seed=11, scale=TINY)
     b = run_experiment("fig2a", seed=11, scale=TINY)
