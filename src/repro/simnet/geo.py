@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from enum import Enum
+from functools import lru_cache
 
 # Speed of light in fibre is roughly 2/3 c; real routes are longer than
 # the geodesic, which the inflation factor absorbs.
