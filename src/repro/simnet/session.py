@@ -143,8 +143,8 @@ class _ProcessDriver:
         return self.handle
 
     def _advance(self, resume: Callable[[], Any]) -> None:
-        # GetTime resumes the generator at once, so it is answered here,
-        # in a loop, rather than through _dispatch and a nested _advance.
+        # GetTime resumes the generator at once: answering it in this
+        # loop keeps a run of them from nesting a call per command.
         while not self.handle.done:
             try:
                 command = resume()
