@@ -94,25 +94,6 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule:
-    """Base for whole-program rules that see the call graph.
-
-    ``check_project`` yields ``(module_name, finding)`` pairs — the
-    engine maps the module back to its file for display and applies
-    that file's inline suppressions, exactly as for per-file rules.
-    Interprocedural rules consult their zones *during* analysis (an
-    exempt module must not seed taint), so filtering findings by zone
-    is the rule's job, not the engine's.
-    """
-
-    rule_id: str = ""
-    summary: str = ""
-    policy: RulePolicy = RulePolicy(zones=())
-
-    def check_project(self, graph) -> Iterator[tuple[str, Finding]]:
-        raise NotImplementedError
-
-
 # ---------------------------------------------------------------------------
 # DET01 — ambient wall clock / module-level randomness
 # ---------------------------------------------------------------------------
@@ -916,5 +897,12 @@ RULES: tuple[Rule, ...] = (
     MagicConversionRule(),
 )
 
+#: The rules the engine runs by default: every rule is per-file.
+FILE_RULES: tuple[Rule, ...] = RULES
+
 SUP01 = "SUP01"
 SUP01_SUMMARY = "malformed or unjustified replint suppression comment"
+
+#: Every rule id an ``allow[...]`` comment may name.
+KNOWN_RULE_IDS: frozenset[str] = frozenset(
+    {rule.rule_id for rule in RULES} | {SUP01})

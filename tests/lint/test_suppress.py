@@ -4,7 +4,7 @@ import textwrap
 from pathlib import Path
 
 from repro.lint import Policy, lint_source
-from repro.lint.registry import KNOWN_RULE_IDS
+from repro.lint.rules import KNOWN_RULE_IDS
 from repro.lint.suppress import parse_suppressions
 
 SIMNET = Path("src/repro/simnet/mod.py")
