@@ -45,7 +45,6 @@ from repro.simnet.session import (
     ProcessHandle,
     Transfer,
     TransferResult,
-    make_transfer,
     run_process,
     start_process,
 )
@@ -60,5 +59,5 @@ __all__ = [
     "VOLUNTEER_GUARD_LOAD", "VOLUNTEER_RELAY_LOAD", "base_rtt",
     "compute_fair_rates", "compute_fair_rates_reference", "derive_seed",
     "effective_bottleneck_bps", "great_circle_km", "lognormal_factor",
-    "make_transfer", "run_process", "start_process", "substream",
+    "run_process", "start_process", "substream",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence
+from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.errors import ProcessTimeout, SimulationError, TransferAborted
 from repro.simnet.flow import Flow
@@ -87,12 +87,6 @@ class Outcome:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-def make_transfer(path: Iterable[Resource], nbytes: float, *, weight: float = 1.0,
-                  abort_at: Optional[float] = None) -> Transfer:
-    """Convenience constructor that tuples the path."""
-    return Transfer(tuple(path), nbytes, weight, abort_at)
 
 
 # -- the process driver -------------------------------------------------

@@ -54,7 +54,6 @@ class Circuit:
         self.rng = rng
         self.built = False
         self.built_at: Optional[Optional[float]] = None
-        self.streams_attached = 0
         self._flow_ctrl: Optional[Resource] = None
 
     @property
@@ -119,9 +118,6 @@ class Circuit:
         path.append(self.flow_control_resource())
         path.extend(extra)
         return tuple(dict.fromkeys(path))
-
-    def mark_used(self) -> None:
-        self.streams_attached += 1
 
     def same_origin(self, origin: Sequence[City]) -> bool:
         """Whether this circuit was built behind the same origin chain."""
